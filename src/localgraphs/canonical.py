@@ -16,33 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import MarkAlphabets, MarkedGraph, RootedMarkedGraph, build_graph, truncate
+from .graphs import MarkAlphabets, MarkedGraph, RootedMarkedGraph, ball, build_graph, truncate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CanonicalClass:
     """Canonical encoding of an isomorphism class of a rooted marked graph."""
 
     code: bytes
-    depth: int | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonicalClass):
-            return NotImplemented
-        return self.code == other.code
-
-    def __hash__(self):
-        return hash(self.code)
-
-    def __lt__(self, other):
-        return self.code < other.code
 
     def hex(self) -> str:
         return self.code.hex()
 
     @classmethod
-    def from_hex(cls, s: str, depth: int | None = None) -> "CanonicalClass":
-        return cls(bytes.fromhex(s), depth)
+    def from_hex(cls, s: str) -> "CanonicalClass":
+        return cls(bytes.fromhex(s))
 
 
 def _certificate(g: MarkedGraph, roots: tuple[int, ...], order: list[int]) -> str:
@@ -167,7 +155,12 @@ def canonicalize(g: RootedMarkedGraph, depth: int | None = None) -> CanonicalCla
     """Canonical class of a rooted marked graph, optionally depth-truncated."""
     if depth is not None:
         g = truncate(g, depth)
-    return CanonicalClass(canonical_code(g.graph, (g.root,)), depth)
+    return CanonicalClass(canonical_code(g.graph, (g.root,)))
+
+
+def depth_classes(g: MarkedGraph, k: int) -> list[CanonicalClass]:
+    """Depth-k class of every vertex of g, in vertex order."""
+    return [canonicalize(ball(g, v, k)) for v in range(g.n)]
 
 
 def canonicalize_pair(g: MarkedGraph, o: int, v: int) -> CanonicalClass:

@@ -32,7 +32,7 @@ from .samplers import (
     sample_uniform_graph,
     sample_uniform_marked,
 )
-from .surgery import modify_graph
+from .surgery import DEFAULT_SURGERY_ATTEMPTS, modify_graph
 from .transport import (
     change_bound,
     changed_columns,
@@ -273,7 +273,7 @@ def build_parser() -> _Parser:
     p.add_argument("--degrees", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-attempts", type=int, default=100_000)
+    p.add_argument("--max-attempts", type=int, default=DEFAULT_SURGERY_ATTEMPTS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_surgery)
 

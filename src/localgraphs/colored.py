@@ -9,8 +9,8 @@ import random
 from dataclasses import dataclass, field
 
 from .canonical import canonicalize
-from .errors import InconsistentColors, InvalidSequence
-from .graphs import MarkAlphabets, MarkedGraph, RootedMarkedGraph, build_graph, rooted_component
+from .errors import AttemptsExhausted, InconsistentColors, InvalidSequence
+from .graphs import MarkAlphabets, MarkedGraph, ball, build_graph
 
 # An F-element is (edge-mark symbol, canonical-code bytes of a depth-(k-1)
 # rooted class); a color is an ordered pair of F-element indices.
@@ -94,14 +94,6 @@ class ColoredMultigraph:
             if d:
                 out[c] = d
         return out
-
-
-def colorblind(g: ColoredMultigraph) -> dict[tuple[int, int], int]:
-    return g.colorblind()
-
-
-def colored_degree_of(g: ColoredMultigraph, v: int) -> dict[Color, int]:
-    return g.colored_degree_of(v)
 
 
 @dataclass(frozen=True)
@@ -251,6 +243,21 @@ def is_colored_graph(g: ColoredMultigraph, h: int) -> bool:
     return not _girth_at_most(adj, h)
 
 
+def sample_filtered_cm(
+    D: ColoredDegreeSequence, h: int, rng: random.Random, max_attempts: int
+) -> tuple[ColoredMultigraph, int]:
+    """Draw CM(D) until a sample passes the girth-h filter.
+
+    Returns the sample with the number of draws it took; raises
+    AttemptsExhausted after ``max_attempts`` rejected draws.
+    """
+    for attempt in range(1, max_attempts + 1):
+        candidate = sample_cm(D, rng)
+        if is_colored_graph(candidate, h):
+            return candidate, attempt
+    raise AttemptsExhausted(max_attempts)
+
+
 @dataclass(frozen=True)
 class AlphaEstimate:
     estimate: float
@@ -287,10 +294,8 @@ def estimate_alpha_h(
 
 
 def _direction_element(g: MarkedGraph, u: int, v: int, k: int) -> FElement:
-    """(edge mark from u to v, depth-(k-1) class of v's edge-deleted component)."""
-    pruned = g.without_edge(u, v)
-    comp = rooted_component(pruned, v)
-    return (g.xi[(u, v)], canonicalize(comp, k - 1).code)
+    """(edge mark from u to v, depth-(k-1) class of v's ball in g minus uv)."""
+    return (g.xi[(u, v)], canonicalize(ball(g, v, k - 1, exclude_edge=(u, v))).code)
 
 
 def color_graph(g: MarkedGraph, k: int) -> tuple[ColoredMultigraph, ColorSet]:

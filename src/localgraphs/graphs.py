@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Container, Mapping
 
 from .errors import NonGraphical
 
@@ -111,8 +111,11 @@ class MarkedGraph:
     def is_connected(self) -> bool:
         return self.n == 0 or len(self.component(0)) == self.n
 
-    def bfs_layers(self, root: int, radius: int | None = None) -> dict[int, int]:
-        """Distance from root for every vertex within the given radius."""
+    def bfs_layers(
+        self, root: int, radius: int | None = None, cut: Container[tuple[int, int]] = ()
+    ) -> dict[int, int]:
+        """Distance from root for every vertex within the given radius, never
+        stepping from u to w when (u, w) is in ``cut``."""
         dist = {root: 0}
         frontier = [root]
         d = 0
@@ -121,43 +124,11 @@ class MarkedGraph:
             nxt = []
             for u in frontier:
                 for w in self.adjacency[u]:
-                    if w not in dist:
+                    if w not in dist and (u, w) not in cut:
                         dist[w] = d
                         nxt.append(w)
             frontier = nxt
         return dist
-
-    def induced(self, vertices: Iterable[int]) -> tuple["MarkedGraph", dict[int, int]]:
-        """Induced marked subgraph; returns it with the old->new vertex map."""
-        verts = sorted(set(vertices))
-        remap = {v: i for i, v in enumerate(verts)}
-        edges = set()
-        xi = {}
-        for (u, v) in self.edges:
-            if u in remap and v in remap:
-                a, b = remap[u], remap[v]
-                if a > b:
-                    a, b = b, a
-                edges.add((a, b))
-        for (u, v) in self.edges:
-            if u in remap and v in remap:
-                xi[(remap[u], remap[v])] = self.xi[(u, v)]
-                xi[(remap[v], remap[u])] = self.xi[(v, u)]
-        sub = MarkedGraph(
-            n=len(verts),
-            edges=frozenset(edges),
-            tau=tuple(self.tau[v] for v in verts),
-            xi=xi,
-            alphabets=self.alphabets,
-        )
-        return sub, remap
-
-    def without_edge(self, u: int, v: int) -> "MarkedGraph":
-        e = (min(u, v), max(u, v))
-        if e not in self.edges:
-            raise ValueError(f"no edge {e}")
-        xi = {k: x for k, x in self.xi.items() if set(k) != {u, v}}
-        return MarkedGraph(self.n, self.edges - {e}, self.tau, xi, self.alphabets)
 
     def unmarked(self) -> "MarkedGraph":
         """Forget all marks (the projection onto plain graphs)."""
@@ -206,19 +177,52 @@ class RootedMarkedGraph:
         return max(self.graph.bfs_layers(self.root).values(), default=0)
 
 
+def ball(
+    g: MarkedGraph,
+    root: int,
+    r: int | None = None,
+    *,
+    exclude_edge: tuple[int, int] | None = None,
+) -> RootedMarkedGraph:
+    """Marked subgraph induced by the vertices within distance r of root.
+
+    ``r=None`` takes the whole component of root.  With ``exclude_edge=(u, v)``
+    the search never crosses uv and the ball leaves it out, so this is the ball
+    of root in g minus that edge.  Vertices keep their ascending order in g.
+    Past g's cached adjacency lists, the cost depends on the ball alone: linear
+    in its vertices and edges, plus one sort of its vertices.
+    """
+    if r is not None and r < 0:
+        raise ValueError("radius must be nonnegative")
+    cut = {exclude_edge, exclude_edge[::-1]} if exclude_edge is not None else set()
+    adj = g.adjacency
+    verts = sorted(g.bfs_layers(root, r, cut))
+    remap = {v: i for i, v in enumerate(verts)}
+    edges = []
+    xi = {}
+    for u in verts:
+        a = remap[u]
+        for w in adj[u]:
+            b = remap.get(w)
+            if b is None or b < a or (u, w) in cut:
+                continue
+            edges.append((a, b))
+            xi[(a, b)] = g.xi[(u, w)]
+            xi[(b, a)] = g.xi[(w, u)]
+    sub = MarkedGraph(
+        len(verts), frozenset(edges), tuple(g.tau[v] for v in verts), xi, g.alphabets
+    )
+    return RootedMarkedGraph(sub, remap[root])
+
+
 def rooted_component(g: MarkedGraph, v: int) -> RootedMarkedGraph:
     """The connected component of v in g, rooted at v."""
-    sub, remap = g.induced(g.component(v))
-    return RootedMarkedGraph(sub, remap[v])
+    return ball(g, v)
 
 
 def truncate(g: RootedMarkedGraph, r: int) -> RootedMarkedGraph:
     """Marked subgraph induced by vertices within distance r of the root."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    dist = g.graph.bfs_layers(g.root, radius=r)
-    sub, remap = g.graph.induced(dist.keys())
-    return RootedMarkedGraph(sub, remap[g.root])
+    return ball(g.graph, g.root, r)
 
 
 def color_degree(g: MarkedGraph, o: int, x: str, xp: str) -> int:

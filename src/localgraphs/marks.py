@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 from .graphs import MarkAlphabets, MarkedGraph
 
@@ -84,3 +85,18 @@ class ModelParams:
             {t: Fraction(1, len(alphabets.theta)) for t in alphabets.theta},
             {x: Fraction(1, len(alphabets.xi)) for x in alphabets.xi},
         )
+
+
+def chi2_leq(chi: Mapping, order: Sequence[str] | None = None) -> dict:
+    """Law of the nondecreasing pair of two independent draws from chi.
+
+    A symbol is <= another when it comes earlier in ``order``; the default is
+    string order, ``sorted(chi)``.
+    """
+    symbols = sorted(chi) if order is None else list(order)
+    out = {}
+    for i, x in enumerate(symbols):
+        out[(x, x)] = chi[x] * chi[x]
+        for xp in symbols[i + 1 :]:
+            out[(x, xp)] = 2 * chi[x] * chi[xp]
+    return out

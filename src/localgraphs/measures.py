@@ -62,9 +62,11 @@ def measure_from_pairs(
     atoms: dict[CanonicalClass, Fraction] = {}
     reps: dict[CanonicalClass, RootedMarkedGraph] = {}
     for g, w in pairs:
-        cls = canonicalize(g, depth)
+        if depth is not None:
+            g = truncate(g, depth)
+        cls = canonicalize(g)
         atoms[cls] = atoms.get(cls, Fraction(0)) + w
-        reps.setdefault(cls, truncate(g, depth) if depth is not None else g)
+        reps.setdefault(cls, g)
     return LocalMeasure(atoms, reps)
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import TextIO
 
 from .errors import InvalidSequence, RangeViolation
+from .marks import chi2_leq
 from .measures import LocalMeasure, project_unmarked, truncate_measure
 
 INF = float("inf")
@@ -53,17 +54,6 @@ def relative_entropy(a: dict, b: dict) -> float:
             return INF
         total += pa * math.log(pa / pb)
     return total
-
-
-def chi2_leq(chi: dict) -> dict:
-    """Law of the nondecreasing pair of two independent draws from chi."""
-    symbols = sorted(chi)
-    out = {}
-    for i, x in enumerate(symbols):
-        out[(x, x)] = chi[x] * chi[x]
-        for xp in symbols[i + 1 :]:
-            out[(x, xp)] = 2 * chi[x] * chi[xp]
-    return out
 
 
 def alpha_plus(alpha: dict) -> dict:

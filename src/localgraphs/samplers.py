@@ -14,7 +14,7 @@ from fractions import Fraction
 from .enumeration import enumerate_graphs, type_class_size
 from .errors import AttemptsExhausted, CountMismatch
 from .graphs import DegreeSequence, MarkAlphabets, MarkedGraph, build_graph
-from .marks import CountVectors, ModelParams, count_vectors_of
+from .marks import CountVectors, ModelParams, chi2_leq, count_vectors_of
 
 DEFAULT_MAX_ATTEMPTS = 10**6
 
@@ -173,17 +173,6 @@ def _multinomial_prob(counts: dict, dist: dict) -> Fraction:
     return p
 
 
-def chi2_leq_law(params: ModelParams) -> dict[tuple[str, str], Fraction]:
-    """Distribution of the <=-ordered pair of two independent chi draws."""
-    out = {}
-    for (x, xp) in params.alphabets.xi_leq_pairs():
-        if x == xp:
-            out[(x, xp)] = params.chi[x] ** 2
-        else:
-            out[(x, xp)] = 2 * params.chi[x] * params.chi[xp]
-    return out
-
-
 def model_probability(g: MarkedGraph, params: ModelParams, num_graphs: int) -> Fraction:
     """P(G_n = g) under the uniform-graph, i.i.d.-marks model."""
     p = Fraction(1, num_graphs)
@@ -209,7 +198,7 @@ def mixture_identity_check(
     ab = params.alphabets
     graphs = list(enumerate_graphs(ell, cap))
     num_graphs = len(graphs)
-    chi2 = chi2_leq_law(params)
+    chi2 = chi2_leq(params.chi, ab.xi)
     total = Fraction(0)
     outcomes = 0
     class_sizes: dict[tuple, int] = {}

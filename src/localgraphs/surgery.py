@@ -10,17 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .canonical import canonicalize
-from .colored import (
-    ColoredMultigraph,
-    color_graph,
-    colored_degree_sequence_of,
-    is_colored_graph,
-    mcb,
-    sample_cm,
-)
-from .errors import AttemptsExhausted
-from .graphs import DegreeSequence, MarkedGraph, rooted_component, truncate
+from .canonical import depth_classes
+from .colored import color_graph, colored_degree_sequence_of, mcb, sample_filtered_cm
+from .graphs import DegreeSequence, MarkedGraph
 from .transport import modify_colored_degrees
 
 DEFAULT_SURGERY_ATTEMPTS = 10**5
@@ -47,10 +39,6 @@ def _ball_volume_cap(max_degree: int, k: int) -> int:
     return total
 
 
-def _depth_k_class(g: MarkedGraph, v: int, k: int):
-    return canonicalize(truncate(rooted_component(g, v), k), k)
-
-
 def modify_graph(
     gamma: MarkedGraph,
     ell: DegreeSequence,
@@ -70,22 +58,11 @@ def modify_graph(
     D = colored_degree_sequence_of(colored)
     mod = modify_colored_degrees(D, ell)
 
-    h: ColoredMultigraph | None = None
-    attempts = 0
-    for attempts in range(1, max_attempts + 1):
-        candidate = sample_cm(mod.sequence, rng)
-        if is_colored_graph(candidate, 2 * k + 1):
-            h = candidate
-            break
-    if h is None:
-        raise AttemptsExhausted(max_attempts)
-
+    h, attempts = sample_filtered_cm(mod.sequence, 2 * k + 1, rng, max_attempts)
     rebuilt = mcb(gamma.tau, h, gamma.alphabets)
     degree_exact = all(rebuilt.degree(v) == ell.ell[v] for v in range(ell.n))
     modified = sum(
-        1
-        for v in range(gamma.n)
-        if _depth_k_class(rebuilt, v, k) != _depth_k_class(gamma, v, k)
+        1 for a, b in zip(depth_classes(rebuilt, k), depth_classes(gamma, k)) if a != b
     )
     # a vertex's depth-k class can move only if its ball reaches a vertex
     # whose colored degree the transport touched

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .colored import Color, ColorSet, ColoredDegreeSequence
-from .errors import Infeasible, InvalidSequence
+from .errors import Infeasible, InvalidSequence, LocalGraphsError
 from .graphs import DegreeSequence
 
 
@@ -131,7 +131,8 @@ def _case_m1_core(a: list[list[int]], beta: list[int], I: list[int]) -> list[lis
     b[0][0] = R - P1 - Q
     b[1][0] = R - P2
     r = 2 * R - total_beta  # excess parked in column 0; even since sum(beta) is
-    assert r >= 0 and r % 2 == 0
+    if r < 0 or r % 2 != 0:
+        raise LocalGraphsError(f"excess {r} parked in column 0 is not a nonnegative even number")
     while r > 0:
         if b[0][0] == b[1][0]:
             half = r // 2
@@ -230,8 +231,10 @@ def transport_general(A: DegreeMatrix, beta: TargetDegrees) -> DegreeMatrix:
     diag = out_rows[: A.p]
     rest = out_rows[A.p :]
     result = DegreeMatrix(A.p, A.m, tuple(diag + rest))
-    assert column_degrees(result) == beta.beta
-    assert changed_columns(A, result) <= change_bound(A, beta)
+    if column_degrees(result) != beta.beta:
+        raise LocalGraphsError("transport missed the target column degrees")
+    if changed_columns(A, result) > change_bound(A, beta):
+        raise LocalGraphsError("transport changed more columns than its bound")
     return result
 
 
@@ -293,7 +296,8 @@ def modify_colored_degrees(
     seq = matrix_to_colored(out, order, D.colors)
     changed = sum(1 for v in range(D.n) if seq.degrees[v] != D.degrees[v])
     bound = change_bound(A, beta)
-    assert changed <= bound
+    if changed > bound:
+        raise LocalGraphsError(f"transport changed {changed} vertices, above its bound {bound}")
     return ColoredModification(seq, changed, bound)
 
 

@@ -18,7 +18,8 @@ from localgraphs.colored import (
     write_cds,
 )
 from localgraphs.errors import InconsistentColors, InvalidSequence
-from localgraphs.graphs import MarkAlphabets, build_graph
+from localgraphs.canonical import canonicalize
+from localgraphs.graphs import MarkAlphabets, build_graph, rooted_component
 
 from oracles import girth_oracle
 
@@ -214,6 +215,27 @@ def test_color_graph_cycle_uses_one_conjugate_class():
     )
     cm, colors = color_graph(g, 1)
     assert len(colors.f_elements) == 1
+
+
+def test_color_graph_matches_edge_deletion_oracle():
+    # F-element of u -> v: the mark xi(u, v) and the depth-(k-1) class of v's
+    # component once the edge uv is deleted from the edge list
+    rng = random.Random(12)
+    cyclic = 0
+    for _ in range(30):
+        g = random_marked(rng, rng.randint(3, 9), p=0.4)
+        cyclic += len(g.edges) >= g.n
+        marks = {(u, v): (g.xi[(u, v)], g.xi[(v, u)]) for (u, v) in g.edges}
+        for k in (1, 2, 3):
+            cm, colors = color_graph(g, k)
+            for (u, v) in g.edges:
+                rest = {e: x for e, x in marks.items() if e != (u, v)}
+                pruned = build_graph(g.n, rest, g.tau, g.alphabets)
+                f_uv = (g.xi[(u, v)], canonicalize(rooted_component(pruned, v), k - 1).code)
+                f_vu = (g.xi[(v, u)], canonicalize(rooted_component(pruned, u), k - 1).code)
+                c = (colors.index(f_uv), colors.index(f_vu))
+                assert cm.multiplicity(c, u, v) == 1
+    assert cyclic >= 10
 
 
 def test_mcb_rejects_inconsistent_colors():

@@ -7,6 +7,7 @@ from localgraphs.graphs import (
     DegreeSequence,
     MarkAlphabets,
     RootedMarkedGraph,
+    ball,
     build_graph,
     color_degree,
     read_graph,
@@ -70,9 +71,42 @@ def test_truncate_matches_independent_bfs():
         root = rng.randrange(30)
         comp = rooted_component(g, root)
         out = truncate(comp, 2)
-        # map truncated vertex count against the oracle ball in the original
-        ball = bfs_layers_oracle(g, root, 2)
-        assert out.n == len(ball)
+        # the oracle ball's induced subgraph, vertices in ascending order
+        verts = sorted(bfs_layers_oracle(g, root, 2))
+        pos = {v: i for i, v in enumerate(verts)}
+        edges = {(pos[a], pos[b]) for (a, b) in g.edges if a in pos and b in pos}
+        xi = {(pos[a], pos[b]): x for (a, b), x in g.xi.items() if a in pos and b in pos}
+        for got in (out, ball(g, root, 2)):
+            assert got.n == len(verts)
+            assert got.root == pos[root]
+            assert got.graph.edges == edges
+            assert dict(got.graph.xi) == xi
+            assert got.graph.tau == tuple(g.tau[v] for v in verts)
+
+
+def test_ball_excluded_edge_on_a_triangle():
+    marks = {(0, 1): ("a", "b"), (1, 2): ("a", "a"), (0, 2): ("b", "b")}
+    g = build_graph(3, marks, ("s", "t", "s"), AB)
+    near = ball(g, 1, 1, exclude_edge=(0, 1))
+    assert near.n == 2 and near.graph.edges == frozenset({(0, 1)})
+    # at radius 2 vertex 0 is back, reached through 2; only the edge 01 is gone
+    far = ball(g, 1, 2, exclude_edge=(1, 0))
+    assert far.n == 3 and far.root == 1
+    assert far.graph.edges == frozenset({(1, 2), (0, 2)})
+    assert far.graph.xi[(0, 2)] == "b" and far.graph.xi[(1, 2)] == "a"
+
+
+def test_ball_excluded_edge_on_a_four_cycle():
+    marks = {(0, 1): ("a", "b"), (1, 2): ("b", "a"), (2, 3): ("a", "a"), (0, 3): ("b", "a")}
+    g = build_graph(4, marks, ("s", "t", "s", "t"), AB)
+    assert ball(g, 1, 2, exclude_edge=(0, 1)).graph.edges == frozenset({(0, 1), (1, 2)})
+    for r in (3, None):
+        out = ball(g, 1, r, exclude_edge=(0, 1))
+        assert out.n == 4 and out.root == 1
+        assert out.graph.edges == frozenset({(1, 2), (2, 3), (0, 3)})
+        assert out.graph.xi[(3, 0)] == "a" and out.graph.xi[(0, 3)] == "b"
+    with pytest.raises(ValueError):
+        ball(g, 1, -1)
 
 
 def test_truncate_idempotent():

@@ -7,9 +7,8 @@ from localgraphs.canonical import canonicalize
 from localgraphs.enumeration import enumerate_graphs
 from localgraphs.errors import CountMismatch, NonGraphical
 from localgraphs.graphs import DegreeSequence, MarkAlphabets, rooted_component
-from localgraphs.marks import CountVectors, ModelParams, count_vectors_of
+from localgraphs.marks import CountVectors, ModelParams, chi2_leq, count_vectors_of
 from localgraphs.samplers import (
-    chi2_leq_law,
     mixture_identity_check,
     model_probability,
     read_sampler_config,
@@ -132,11 +131,16 @@ def test_chi2_leq_law_is_a_distribution():
         AB, {"s": Fraction(1)} | {"t": Fraction(0)},
         {"a": Fraction(1, 3), "b": Fraction(2, 3)},
     )
-    law = chi2_leq_law(params)
+    law = chi2_leq(params.chi, params.alphabets.xi)
     assert sum(law.values(), Fraction(0)) == 1
     assert law[("a", "a")] == Fraction(1, 9)
     assert law[("a", "b")] == Fraction(4, 9)
     assert law[("b", "b")] == Fraction(4, 9)
+    # the pair order follows the alphabet, not string order
+    reversed_law = chi2_leq(params.chi, ("b", "a"))
+    assert list(reversed_law) == [("b", "b"), ("b", "a"), ("a", "a")]
+    assert reversed_law[("b", "a")] == Fraction(4, 9)
+    assert chi2_leq(params.chi) == law
 
 
 def test_model_probability_sums_to_one():

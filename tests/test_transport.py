@@ -1,5 +1,8 @@
 import io
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -252,6 +255,29 @@ def test_modify_colored_degrees_hits_targets():
         sample_cm(mod.sequence, rng).validate()
         done += 1
     assert done > 30
+
+
+def test_postconditions_survive_optimized_mode():
+    # python -O strips assert statements; the transport checks must still raise
+    script = """
+from localgraphs import transport
+from localgraphs.colored import ColorSet, ColoredDegreeSequence
+from localgraphs.errors import LocalGraphsError
+from localgraphs.graphs import DegreeSequence
+
+transport.change_bound = lambda A, beta: -1
+D = ColoredDegreeSequence.from_maps(ColorSet((("a", b""),)), [{(0, 0): 1}, {(0, 0): 1}])
+try:
+    transport.modify_colored_degrees(D, DegreeSequence((1, 1)))
+except LocalGraphsError:
+    raise SystemExit(0)
+raise SystemExit(3)
+"""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert done.returncode == 0
 
 
 def test_matrix_file_round_trip():
