@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .canonical import canonicalize
 from .errors import AttemptsExhausted, InconsistentColors, InvalidSequence
@@ -87,14 +88,6 @@ class ColoredMultigraph:
                 out[(u, v)] = out.get((u, v), 0) + k
         return out
 
-    def colored_degree_of(self, v: int) -> dict[Color, int]:
-        out: dict[Color, int] = {}
-        for c, entries in self.omega.items():
-            d = sum(k for (a, _), k in entries.items() if a == v)
-            if d:
-                out[c] = d
-        return out
-
 
 @dataclass(frozen=True)
 class ColoredDegreeSequence:
@@ -103,12 +96,18 @@ class ColoredDegreeSequence:
     colors: ColorSet
     degrees: tuple  # tuple of per-vertex dict[Color, int] (stored as tuples)
 
+    def __post_init__(self):
+        s = self.column_sums()
+        for c, total in s.items():
+            cb = ColorSet.conjugate(c)
+            if total != s.get(cb, 0):
+                raise InvalidSequence(f"S_{c} != S_{cb}")
+            if c == cb and total % 2 != 0:
+                raise InvalidSequence(f"S_{c} odd for diagonal color")
+
     @classmethod
     def from_maps(cls, colors: ColorSet, maps: list[dict[Color, int]]) -> "ColoredDegreeSequence":
-        frozen = tuple(tuple(sorted(m.items())) for m in maps)
-        seq = cls(colors, frozen)
-        seq.validate()
-        return seq
+        return cls(colors, tuple(tuple(sorted(m.items())) for m in maps))
 
     @property
     def n(self) -> int:
@@ -127,75 +126,63 @@ class ColoredDegreeSequence:
                 s[c] = s.get(c, 0) + k
         return s
 
-    def validate(self):
-        s = self.column_sums()
-        for c, total in s.items():
-            cb = ColorSet.conjugate(c)
-            if total != s.get(cb, 0):
-                raise InvalidSequence(f"S_{c} != S_{cb}")
-            if c == cb and total % 2 != 0:
-                raise InvalidSequence(f"S_{c} odd for diagonal color")
-
     def total_degree(self, v: int) -> int:
         return sum(k for _, k in self.degrees[v])
 
+    def half_edges(self) -> dict[Color, list[int]]:
+        """W_c per color c present, in sorted color order: v appears D_v(c) times."""
+        w: dict[Color, list[int]] = {}
+        for v, row in enumerate(self.degrees):
+            for c, k in row:
+                if k:
+                    w.setdefault(c, []).extend([v] * k)
+        return dict(sorted(w.items()))
+
 
 def colored_degree_sequence_of(g: ColoredMultigraph) -> ColoredDegreeSequence:
-    return ColoredDegreeSequence.from_maps(
-        g.colors, [g.colored_degree_of(v) for v in range(g.n)]
-    )
+    maps: list[dict[Color, int]] = [{} for _ in range(g.n)]
+    for c, entries in g.omega.items():
+        for (u, _), k in entries.items():
+            if k:
+                maps[u][c] = maps[u].get(c, 0) + k
+    return ColoredDegreeSequence.from_maps(g.colors, maps)
 
 
-def sample_cm(D: ColoredDegreeSequence, rng: random.Random) -> ColoredMultigraph:
-    """One draw of the colored configuration model CM(D).
+# --- one pairing, two filters: a pairing holds (c, us, vs) per diagonal color
+# and per conjugate pair c < conj(c); half-edge us[i] of color c meets vs[i].
 
-    For each conjugate pair of off-diagonal colors a uniform bijection between
-    the two half-edge sets; for each diagonal color a uniform perfect matching.
-    """
-    D.validate()
-    g = ColoredMultigraph(D.n, D.colors)
-    seen: set[Color] = set()
-    for v in range(D.n):
-        for c, k in D.degrees[v]:
-            seen.add(c)
+Pairing = list[tuple[Color, list[int], list[int]]]
 
-    def half_edges(c: Color) -> list[int]:
-        return [v for v in range(D.n) for _ in range(D.count(v, c))]
 
-    for c in sorted(seen):
-        cb = ColorSet.conjugate(c)
-        if c == cb:
-            w = half_edges(c)
+def _draw(half_edges: dict[Color, list[int]], rng: random.Random) -> Pairing:
+    """Walking half_edges in its sorted color order, shuffle a fresh copy of W_c
+    per diagonal color (paired consecutively) and of W_conj(c) per pair c < conj(c)."""
+    pairing = []
+    for c, w in half_edges.items():
+        if c[0] == c[1]:
+            w = w[:]
             rng.shuffle(w)
-            for i in range(0, len(w), 2):
-                u, v = w[i], w[i + 1]
-                if u == v:
-                    g.add(c, u, u, 2)
-                else:
-                    g.add(c, u, v)
-                    g.add(c, v, u)
-        elif c < cb:
-            w = half_edges(c)
-            wb = half_edges(cb)
-            if len(w) != len(wb):
-                raise InvalidSequence(f"|W_{c}| != |W_{cb}|")
+            pairing.append((c, w[0::2], w[1::2]))
+        elif c[0] < c[1]:
+            wb = half_edges[(c[1], c[0])][:]
             rng.shuffle(wb)
-            for u, v in zip(w, wb):
-                g.add(c, u, v)
-                g.add(cb, v, u)
+            pairing.append((c, w, wb))
+    return pairing
+
+
+def _multigraph(D: ColoredDegreeSequence, pairing: Pairing) -> ColoredMultigraph:
+    g = ColoredMultigraph(D.n, D.colors)
+    for c, us, vs in pairing:
+        for u, v in zip(us, vs):
+            g.add(c, u, v)
+            g.add(ColorSet.conjugate(c), v, u)
     return g
 
 
-def _simple_adjacency(cb: dict[tuple[int, int], int], n: int):
-    """Adjacency sets if the colorblind multigraph is simple, else None."""
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for (u, v), k in cb.items():
-        if k == 0:
-            continue
-        if u == v or k > 1:
-            return None
-        adj[u].add(v)
-    return adj
+def sample_cm(D: ColoredDegreeSequence, rng: random.Random) -> ColoredMultigraph:
+    """One draw of the colored configuration model CM(D): per conjugate pair a
+    uniform bijection of the half-edge sets, per diagonal color a uniform perfect matching."""
+    return _multigraph(D, _draw(D.half_edges(), rng))
 
 
 def _girth_at_most(adj: list[set[int]], h: int) -> bool:
@@ -233,14 +220,50 @@ def _girth_at_most(adj: list[set[int]], h: int) -> bool:
     return False
 
 
-def is_colored_graph(g: ColoredMultigraph, h: int) -> bool:
-    """CB(g) is simple with girth strictly greater than h."""
+def _filtered_edges(pairing: Pairing, n: int, h: int) -> set[tuple[int, int]] | None:
+    """Edges (u, v), u < v, of the pairing's color-blind multigraph if it is
+    simple with girth > h, else None.  A draw is rejected at its first loop or
+    repeated pair; the girth search runs only on simple draws."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    adj = _simple_adjacency(g.colorblind(), g.n)
-    if adj is None:
-        return False
-    return not _girth_at_most(adj, h)
+    edges = set()
+    for _, us, vs in pairing:
+        for u, v in zip(us, vs):
+            e = (u, v) if u < v else (v, u)
+            if u == v or e in edges:
+                return None
+            edges.add(e)
+    if h >= 3:
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        if _girth_at_most(adj, h):
+            return None
+    return edges
+
+
+def _colorblind_pairing(g: ColoredMultigraph) -> Pairing:
+    """CB(g) as a one-color pairing, each edge once per unit of multiplicity."""
+    edges = [e for e, k in g.colorblind().items() if e[0] <= e[1] for _ in range(k)]
+    return [((0, 0), [u for u, _ in edges], [v for _, v in edges])]
+
+
+def is_colored_graph(g: ColoredMultigraph, h: int) -> bool:
+    """CB(g) is simple with girth strictly greater than h."""
+    return _filtered_edges(_colorblind_pairing(g), g.n, h) is not None
+
+
+def filtered_pairings(
+    half_edges: dict[Color, list[int]], n: int, h: int, rng: random.Random, draws: int
+) -> Iterator[tuple[int, Pairing, set[tuple[int, int]]]]:
+    """Make ``draws`` draws; yield (draw number, pairing, edges) for each one
+    whose color-blind multigraph is simple with girth > h."""
+    for attempt in range(1, draws + 1):
+        pairing = _draw(half_edges, rng)
+        edges = _filtered_edges(pairing, n, h)
+        if edges is not None:
+            yield attempt, pairing, edges
 
 
 def sample_filtered_cm(
@@ -251,10 +274,8 @@ def sample_filtered_cm(
     Returns the sample with the number of draws it took; raises
     AttemptsExhausted after ``max_attempts`` rejected draws.
     """
-    for attempt in range(1, max_attempts + 1):
-        candidate = sample_cm(D, rng)
-        if is_colored_graph(candidate, h):
-            return candidate, attempt
+    for attempt, pairing, _ in filtered_pairings(D.half_edges(), D.n, h, rng, max_attempts):
+        return _multigraph(D, pairing), attempt
     raise AttemptsExhausted(max_attempts)
 
 
@@ -283,9 +304,7 @@ def estimate_alpha_h(
     """Monte Carlo estimate of P(CM(D) passes the girth-h filter)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    successes = sum(
-        1 for _ in range(trials) if is_colored_graph(sample_cm(D, rng), h)
-    )
+    successes = sum(1 for _ in filtered_pairings(D.half_edges(), D.n, h, rng, trials))
     low, high = wilson_interval(successes, trials)
     return AlphaEstimate(successes / trials, low, high, successes, trials)
 
@@ -394,8 +413,7 @@ def read_cds(text: str) -> ColoredDegreeSequence:
 
 def mcb(tau: tuple[str, ...], h: ColoredMultigraph, alphabets: MarkAlphabets) -> MarkedGraph:
     """Marked color-blind version of (tau, h); inverse of color_graph."""
-    adj = _simple_adjacency(h.colorblind(), h.n)
-    if adj is None:
+    if _filtered_edges(_colorblind_pairing(h), h.n, 2) is None:
         raise InconsistentColors("colorblind version is not simple")
     marks: dict[tuple[int, int], tuple[str, str]] = {}
     fel = h.colors.f_elements

@@ -30,12 +30,6 @@ class MarkAlphabets:
         if len(set(self.theta)) != len(self.theta) or len(set(self.xi)) != len(self.xi):
             raise ValueError("alphabet symbols must be distinct")
 
-    def xi_index(self, x: str) -> int:
-        return self.xi.index(x)
-
-    def theta_index(self, t: str) -> int:
-        return self.theta.index(t)
-
     def xi_leq_pairs(self) -> list[tuple[str, str]]:
         """All (x, x') with x <= x' in the stored order."""
         return [

@@ -120,7 +120,7 @@ def check_unimodular(mu: LocalMeasure) -> UnimodularityReport:
             c2 = canonicalize_pair(rg.graph, v, rg.root)
             forward[c1] = forward.get(c1, Fraction(0)) + w
             backward[c2] = backward.get(c2, Fraction(0)) + w
-    for cls in set(forward) | set(backward):
+    for cls in sorted(set(forward) | set(backward)):
         a = forward.get(cls, Fraction(0))
         b = backward.get(cls, Fraction(0))
         if a != b:

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .colored import filtered_pairings
 from .enumeration import enumerate_graphs, type_class_size
 from .errors import AttemptsExhausted, CountMismatch
 from .graphs import DegreeSequence, MarkAlphabets, MarkedGraph, build_graph
@@ -19,32 +20,17 @@ from .marks import CountVectors, ModelParams, chi2_leq, count_vectors_of
 DEFAULT_MAX_ATTEMPTS = 10**6
 
 
-def _pairing_attempt(ell: DegreeSequence, rng: random.Random):
-    stubs = [v for v, d in enumerate(ell.ell) for _ in range(d)]
-    rng.shuffle(stubs)
-    edges = set()
-    for i in range(0, len(stubs), 2):
-        u, v = stubs[i], stubs[i + 1]
-        if u == v:
-            return None
-        e = (min(u, v), max(u, v))
-        if e in edges:
-            return None
-        edges.add(e)
-    return edges
-
-
 def sample_uniform_graph(
     ell: DegreeSequence,
     rng: random.Random,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> MarkedGraph:
-    """Uniform simple graph with deg(i) = ell_i, unmarked."""
+    """Uniform simple graph with deg(i) = ell_i, unmarked: the stub list is
+    one diagonal color of the configuration model, filtered at girth > 2."""
     ell.require_graphical()
-    for _ in range(max_attempts):
-        edges = _pairing_attempt(ell, rng)
-        if edges is not None:
-            return build_graph(ell.n, {e: ("-", "-") for e in edges})
+    stubs = [v for v, d in enumerate(ell.ell) for _ in range(d)]
+    for _, _, edges in filtered_pairings({(0, 0): stubs}, ell.n, 2, rng, max_attempts):
+        return build_graph(ell.n, dict.fromkeys(edges, ("-", "-")))
     raise AttemptsExhausted(max_attempts)
 
 

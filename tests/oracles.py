@@ -109,3 +109,39 @@ def bfs_layers_oracle(g: MarkedGraph, root: int, radius: int) -> set[int]:
                     nxt.append(other)
         frontier = nxt
     return seen
+
+
+def cm_pairings_oracle(D) -> list[tuple]:
+    """Every half-edge pairing of the colored configuration model CM(D), one
+    entry per labelled pairing: each perfect matching of every diagonal color
+    times each bijection W_c -> W_conj(c) of every conjugate pair c < conj(c).
+
+    A pairing is a sorted tuple of (c, u, v): a half-edge of color c at u meets
+    one of color conj(c) at v, with u <= v on diagonal colors.  Built from the
+    raw degree rows, so it shares nothing with the sampler.
+    """
+    from itertools import permutations, product
+
+    stubs: dict = {}
+    for v, row in enumerate(D.degrees):
+        for c, k in row:
+            stubs.setdefault(c, []).extend([v] * k)
+
+    def matchings(w):
+        if not w:
+            yield []
+            return
+        for i in range(1, len(w)):
+            for rest in matchings(w[1:i] + w[i + 1:]):
+                yield [(min(w[0], w[i]), max(w[0], w[i]))] + rest
+
+    factors = []
+    for c in sorted(stubs):
+        cb = (c[1], c[0])
+        if c == cb:
+            factors.append([[(c, u, v) for u, v in m] for m in matchings(stubs[c])])
+        elif c < cb:
+            factors.append(
+                [[(c, u, v) for u, v in zip(stubs[c], p)] for p in permutations(stubs.get(cb, []))]
+            )
+    return [tuple(sorted(x for part in choice for x in part)) for choice in product(*factors)]

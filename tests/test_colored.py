@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +16,7 @@ from localgraphs.colored import (
     mcb,
     read_cds,
     sample_cm,
+    sample_filtered_cm,
     wilson_interval,
     write_cds,
 )
@@ -21,7 +24,7 @@ from localgraphs.errors import InconsistentColors, InvalidSequence
 from localgraphs.canonical import canonicalize
 from localgraphs.graphs import MarkAlphabets, build_graph, rooted_component
 
-from oracles import girth_oracle
+from oracles import cm_pairings_oracle, girth_oracle
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 AB1 = MarkAlphabets(("s",), ("a",))
@@ -84,6 +87,15 @@ def test_degree_sequence_validation():
     D = ColoredDegreeSequence.from_maps(CS2, [{(0, 1): 1}, {(1, 0): 1}])
     assert D.column_sums() == {(0, 1): 1, (1, 0): 1}
     assert D.total_degree(0) == 1
+
+
+def test_degree_sequence_validated_on_direct_construction():
+    with pytest.raises(InvalidSequence):
+        # conjugate column sums 2 and 1
+        ColoredDegreeSequence(CS2, ((((0, 1), 2),), (((1, 0), 1),)))
+    with pytest.raises(InvalidSequence):
+        # odd diagonal column sum
+        ColoredDegreeSequence(CS2, ((((0, 0), 1),),))
 
 
 def test_sample_cm_forced_edge():
@@ -286,3 +298,64 @@ def test_alpha_estimate_trivial_cases():
     D3 = colored_degree_sequence_of(cm)
     est3 = estimate_alpha_h(D3, 3, 50, random.Random(8))
     assert est3.estimate < 1.0
+
+
+# Tiny instances for the exact law of the filtered sampler (8 half-edges each).
+# LAW_D: a diagonal color on 4 half-edges and one conjugate pair on 2 + 2;
+# LAW_D_DIAGONAL: 6 diagonal half-edges (one vertex holds two) and a forced
+# conjugate edge.  At h = 2 and h = 3 the filter rejects some pairings.
+LAW_D = ColoredDegreeSequence.from_maps(
+    CS2,
+    [
+        {(0, 0): 1, (1, 0): 1},
+        {(0, 0): 1},
+        {(0, 0): 1, (0, 1): 1},
+        {(0, 1): 1, (1, 0): 1},
+        {(0, 0): 1},
+    ],
+)
+LAW_D_DIAGONAL = ColoredDegreeSequence.from_maps(
+    CS2,
+    [{(0, 0): 1, (0, 1): 1}, {(0, 0): 1, (1, 0): 1}, {(0, 0): 2}, {(0, 0): 1}, {(0, 0): 1}],
+)
+
+
+def _oracle_passes(pairing, n, h):
+    edges = [(min(u, v), max(u, v)) for _, u, v in pairing]
+    if any(u == v for u, v in edges) or len(set(edges)) < len(edges):
+        return False
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return girth_oracle(adj) > h
+
+
+def _pairing_of(g):
+    """The oracle's pairing key of a colored multigraph without loops."""
+    out = []
+    for c, entries in g.omega.items():
+        for (u, v), k in entries.items():
+            if c < ColorSet.conjugate(c) or (c[0] == c[1] and u < v):
+                out += [(c, u, v)] * k
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("D", [LAW_D, LAW_D_DIAGONAL], ids=["pair", "diagonal"])
+@pytest.mark.parametrize("h", [2, 3])
+def test_filtered_cm_matches_exact_conditional_law(D, h):
+    pairings = cm_pairings_oracle(D)
+    accepted = [p for p in pairings if _oracle_passes(p, D.n, h)]
+    assert 0 < len(accepted) < len(pairings)
+    law = {key: count / len(accepted) for key, count in Counter(accepted).items()}
+    assert len(law) >= 2
+    trials = 20_000
+    rng = random.Random(4100 + h)
+    counts = Counter(
+        _pairing_of(sample_filtered_cm(D, h, rng, 1000)[0]) for _ in range(trials)
+    )
+    # criterion 3's rule: every outcome seen, each within 4 standard errors
+    assert set(counts) == set(law)
+    for key, p in law.items():
+        se = math.sqrt(p * (1 - p) / trials)
+        assert abs(counts[key] / trials - p) < 4 * se, (key, counts[key], p)

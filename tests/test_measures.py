@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -121,6 +124,32 @@ def test_point_mass_on_asymmetric_rooted_path_is_not_unimodular():
     rep = check_unimodular(mu)
     assert not rep.holds
     assert rep.witness is not None and rep.imbalance != 0
+
+
+def test_unimodularity_witness_does_not_depend_on_hash_seed():
+    # criterion 5's crafted point mass: a 3-vertex path rooted at a leaf; the
+    # reported witness must not follow the per-process salted bytes hash
+    script = """
+from fractions import Fraction
+from localgraphs.graphs import RootedMarkedGraph, build_graph
+from localgraphs.measures import check_unimodular, measure_from_pairs
+
+path = build_graph(3, {(0, 1): ("-", "-"), (1, 2): ("-", "-")})
+report = check_unimodular(measure_from_pairs([(RootedMarkedGraph(path, 0), Fraction(1))]))
+print(report.holds, report.witness.hex(), report.imbalance)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = set()
+    for seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, timeout=60, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs
+    assert outputs.pop().startswith("False ")
 
 
 def test_mixture_of_empiricals_is_unimodular():

@@ -5,7 +5,7 @@ import pytest
 
 from localgraphs.canonical import canonicalize
 from localgraphs.enumeration import enumerate_graphs
-from localgraphs.errors import CountMismatch, NonGraphical
+from localgraphs.errors import AttemptsExhausted, CountMismatch, NonGraphical
 from localgraphs.graphs import DegreeSequence, MarkAlphabets, rooted_component
 from localgraphs.marks import CountVectors, ModelParams, chi2_leq, count_vectors_of
 from localgraphs.samplers import (
@@ -35,6 +35,20 @@ def test_triangle_is_deterministic():
     rng = random.Random(1)
     g = sample_uniform_graph(DegreeSequence((2, 2, 2)), rng)
     assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+
+
+def test_one_attempt_either_exhausts_or_returns_the_triangle():
+    # with degrees (2, 2, 2) a draw is simple only when it is the triangle
+    exhausted = 0
+    for seed in range(50):
+        try:
+            g = sample_uniform_graph(DegreeSequence((2, 2, 2)), random.Random(seed), max_attempts=1)
+        except AttemptsExhausted as exc:
+            assert exc.attempts == 1
+            exhausted += 1
+            continue
+        assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+    assert 0 < exhausted < 50
 
 
 def test_degrees_always_exact():
