@@ -109,35 +109,19 @@ def _ir_certificate(g: MarkedGraph, roots: tuple[int, ...]) -> str:
     extra = {v: tuple(i for i, r in enumerate(roots) if r == v) for v in range(g.n)}
     init_labels = [(extra[v], g.tau[v]) for v in range(g.n)]
     ranking = {s: i for i, s in enumerate(sorted(set(init_labels)))}
-    start = [ranking[s] for s in init_labels]
 
-    best: list[str | None] = [None]
-
-    def search(colors: list[int]):
+    def search(colors: list[int]) -> str:
         colors = _refine(g, colors)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
         if target is None:
-            order = sorted(range(g.n), key=lambda v: colors[v])
-            cert = _certificate(g, roots, order)
-            if best[0] is None or cert < best[0]:
-                best[0] = cert
-            return
-        bump = g.n
-        for v in target:
-            branch = list(colors)
-            branch[v] = bump
-            search(branch)
+            return _certificate(g, roots, sorted(range(g.n), key=lambda v: colors[v]))
+        # individualize each vertex of the first non-singleton cell in turn
+        return min(search(colors[:v] + [g.n] + colors[v + 1:]) for v in target)
 
-    search(start)
-    assert best[0] is not None
-    return best[0]
+    return search([ranking[s] for s in init_labels])
 
 
 def canonical_code(g: MarkedGraph, roots: tuple[int, ...]) -> bytes:
@@ -200,28 +184,39 @@ def is_isomorphic(a: RootedMarkedGraph, b: RootedMarkedGraph) -> bool:
     return canonicalize(a) == canonicalize(b)
 
 
+def radius_profile(
+    g: RootedMarkedGraph, cls: CanonicalClass | None = None
+) -> tuple[CanonicalClass, ...]:
+    """Classes of the depth-r truncations of g for r = 0 .. eccentricity - 1,
+    followed by the class of g itself (``cls`` when the caller knows it).
+
+    Entry r is the class of ``truncate(g, r)``, and for r past the end it is
+    the last entry, since truncating beyond the eccentricity gives back g.
+    """
+    full = canonicalize(g) if cls is None else cls
+    return tuple(canonicalize(g, r) for r in range(g.eccentricity())) + (full,)
+
+
+def profile_distance(p: tuple[CanonicalClass, ...], q: tuple[CanonicalClass, ...]) -> Fraction:
+    """1/(1 + j) where j is the first radius at which two radius profiles
+    differ, and 0 when their classes agree.
+
+    Agreement at radius r implies agreement at every smaller radius, so the
+    first disagreement is the radius the local distance is defined by.
+    """
+    if p[-1] == q[-1]:
+        return Fraction(0)
+    j = 0
+    # stops by j = max(len(p), len(q)) - 1, where both read their last entry
+    while p[min(j, len(p) - 1)] == q[min(j, len(q) - 1)]:
+        j += 1
+    return Fraction(1, 1 + j)
+
+
 def local_distance(a: RootedMarkedGraph, b: RootedMarkedGraph) -> Fraction:
     """1/(1 + j) where j is the first radius at which the truncations differ.
 
     Returns 0 when the graphs are isomorphic at every radius; disagreement of
     the radius-0 balls (root marks) gives distance 1.
     """
-    if canonicalize(a) == canonicalize(b):
-        return Fraction(0)
-    radius_cap = max(a.eccentricity(), b.eccentricity())
-
-    def agree(r: int) -> bool:
-        return canonicalize(a, r) == canonicalize(b, r)
-
-    if not agree(0):
-        return Fraction(1, 1)
-    # binary search for the largest radius of agreement; truncation at
-    # radius_cap reproduces the full graphs, which differ.
-    lo, hi = 0, radius_cap  # agree(lo) true, agree(hi) false
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if agree(mid):
-            lo = mid
-        else:
-            hi = mid
-    return Fraction(1, 1 + hi)
+    return profile_distance(radius_profile(a), radius_profile(b))

@@ -15,6 +15,9 @@ from .errors import NonGraphical
 #: Alphabets used when marks carry no information.
 UNMARKED_THETA = ("*",)
 UNMARKED_XI = ("-",)
+#: Characters that separate the fields of a canonical code; a mark symbol
+#: holds none of them and no whitespace, so codes and text formats stay exact.
+_SEPARATORS = ",.|;="
 
 
 @dataclass(frozen=True)
@@ -29,6 +32,11 @@ class MarkAlphabets:
             raise ValueError("alphabets must be nonempty")
         if len(set(self.theta)) != len(self.theta) or len(set(self.xi)) != len(self.xi):
             raise ValueError("alphabet symbols must be distinct")
+        for sym in self.theta + self.xi:
+            if not sym or any(ch in _SEPARATORS or ch.isspace() for ch in sym):
+                raise ValueError(
+                    f"mark symbol {sym!r} is empty or holds whitespace or one of {_SEPARATORS}"
+                )
 
     def xi_leq_pairs(self) -> list[tuple[str, str]]:
         """All (x, x') with x <= x' in the stored order."""

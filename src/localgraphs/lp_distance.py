@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .canonical import local_distance
+from .canonical import profile_distance, radius_profile
 from .measures import LocalMeasure
 
 
@@ -87,24 +87,19 @@ def levy_prokhorov(mu: LocalMeasure, nu: LocalMeasure) -> Fraction:
     nu_atoms = nu.support()
     mu_w = [mu.atoms[a] for a in mu_atoms]
     nu_w = [nu.atoms[a] for a in nu_atoms]
-    dist = [
-        [
-            Fraction(0) if a == b else local_distance(mu.rep(a), nu.rep(b))
-            for b in nu_atoms
-        ]
-        for a in mu_atoms
-    ]
+    # one radius profile per atom: p + q profiles rather than p * q distances
+    profile = {a: radius_profile(mu.rep(a), a) for a in mu_atoms}
+    profile.update((b, radius_profile(nu.rep(b), b)) for b in nu_atoms if b not in profile)
+    dist = [[profile_distance(profile[a], profile[b]) for b in nu_atoms] for a in mu_atoms]
     values = sorted({Fraction(0)} | {d for row in dist for d in row})
     # excess is constant on each interval (values[i], values[i+1]]; the
     # feasible infimum on that interval is max(values[i], excess there).
-    best = None
+    # Distances never exceed 1, so threshold 1 admits every pair and d_LP <= 1.
+    best = Fraction(1)
     for v in values:
         e = _excess(mu_w, nu_w, dist, v)
-        candidate = max(v, e)
-        if best is None or candidate < best:
-            best = candidate
+        best = min(best, max(v, e))
         if e <= v:
             # larger thresholds only admit more pairs; no better candidate exists
             break
-    assert best is not None
     return best

@@ -16,7 +16,8 @@ from .canonical import (
     canonicalize,
     canonicalize_pair,
     decode_rooted,
-    local_distance,
+    profile_distance,
+    radius_profile,
 )
 from .graphs import MarkedGraph, RootedMarkedGraph, rooted_component, truncate
 
@@ -146,13 +147,17 @@ def pushforward_lipschitz_check(
     """
     from .lp_distance import levy_prokhorov
 
-    atoms: list[RootedMarkedGraph] = []
+    # one radius profile per corpus atom and one per its image under f
+    base: list[tuple[CanonicalClass, ...]] = []
+    image: list[tuple[CanonicalClass, ...]] = []
     for mu in corpus:
-        atoms.extend(mu.rep(a) for a in mu.support())
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            da = local_distance(atoms[i], atoms[j])
-            db = local_distance(f(atoms[i]), f(atoms[j]))
+        for a in mu.support():
+            base.append(radius_profile(mu.rep(a), a))
+            image.append(radius_profile(f(mu.rep(a))))
+    for i in range(len(base)):
+        for j in range(i + 1, len(base)):
+            da = profile_distance(base[i], base[j])
+            db = profile_distance(image[i], image[j])
             if db > alpha * da:
                 raise ValueError(
                     f"f is not {alpha}-Lipschitz on the corpus atoms "

@@ -252,15 +252,12 @@ def lp_subset_oracle(mu: LocalMeasure, nu: LocalMeasure) -> Fraction:
                 worst = max(worst, mass - enlarged)
         return worst
 
-    best = None
+    best = Fraction(1)  # distances never exceed 1, so threshold 1 admits every pair
     for v in values:
         e = worst_excess(v)
-        candidate = max(v, e)
-        if best is None or candidate < best:
-            best = candidate
+        best = min(best, max(v, e))
         if e <= v:
             break
-    assert best is not None
     return best
 
 

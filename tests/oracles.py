@@ -4,6 +4,8 @@ Nothing here shares logic with the package's canonical-code machinery: the
 isomorphism oracle is a plain backtracking search over vertex bijections and
 the BFS is written from scratch, so agreement is meaningful evidence.
 """
+from fractions import Fraction
+
 from localgraphs.graphs import MarkedGraph, RootedMarkedGraph
 
 
@@ -109,6 +111,32 @@ def bfs_layers_oracle(g: MarkedGraph, root: int, radius: int) -> set[int]:
                     nxt.append(other)
         frontier = nxt
     return seen
+
+
+def _induced_oracle(g: MarkedGraph, verts: set[int], root: int) -> RootedMarkedGraph:
+    """Subgraph of g induced by verts, in ascending order, rooted at root."""
+    pos = {v: i for i, v in enumerate(sorted(verts))}
+    edges = frozenset((pos[a], pos[b]) for (a, b) in g.edges if a in pos and b in pos)
+    xi = {(pos[a], pos[b]): x for (a, b), x in g.xi.items() if a in pos and b in pos}
+    tau = tuple(g.tau[v] for v in sorted(verts))
+    return RootedMarkedGraph(MarkedGraph(len(pos), edges, tau, xi, g.alphabets), pos[root])
+
+
+def local_distance_oracle(a: RootedMarkedGraph, b: RootedMarkedGraph) -> Fraction:
+    """1/(1 + r) for the first r at which the radius-r balls of the two roots
+    are not isomorphic, 0 when they are isomorphic at every radius.  Balls come
+    from ``bfs_layers_oracle`` and are compared with ``isomorphic_oracle``."""
+    r = 0
+    while True:
+        va = bfs_layers_oracle(a.graph, a.root, r)
+        vb = bfs_layers_oracle(b.graph, b.root, r)
+        if not isomorphic_oracle(
+            _induced_oracle(a.graph, va, a.root), _induced_oracle(b.graph, vb, b.root)
+        ):
+            return Fraction(1, 1 + r)
+        if len(va) == a.n and len(vb) == b.n:
+            return Fraction(0)
+        r += 1
 
 
 def cm_pairings_oracle(D) -> list[tuple]:

@@ -20,7 +20,7 @@ from localgraphs.graphs import (
     truncate,
 )
 
-from oracles import isomorphic_oracle, partition_by_isomorphism
+from oracles import isomorphic_oracle, local_distance_oracle, partition_by_isomorphism
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 AB1 = MarkAlphabets(("s",), ("a",))
@@ -149,6 +149,40 @@ def test_local_distance_depth_three_disagreement():
         assert canonicalize(a, r) == canonicalize(b, r)
     assert canonicalize(a, 3) != canonicalize(b, 3)
     assert local_distance(a, b) == Fraction(1, 4)
+
+
+def with_pendant(r: RootedMarkedGraph, rng) -> RootedMarkedGraph:
+    """r with one new vertex hung on a vertex farthest from the root, so the
+    eccentricity grows by one and every shallower truncation is unchanged."""
+    g = r.graph
+    dist = g.bfs_layers(r.root)
+    far = max(range(g.n), key=lambda v: (dist[v], v))
+    marks = {(u, v): (g.xi[(u, v)], g.xi[(v, u)]) for (u, v) in g.edges}
+    marks[(far, g.n)] = (rng.choice(g.alphabets.xi), rng.choice(g.alphabets.xi))
+    tau = g.tau + (rng.choice(g.alphabets.theta),)
+    return RootedMarkedGraph(build_graph(g.n + 1, marks, tau, g.alphabets), r.root)
+
+
+def test_local_distance_matches_ball_oracle():
+    rng = random.Random(29)
+    pairs = []
+    for i in range(50):
+        ab = AB1 if i % 2 else AB  # one mark each makes deep agreement common
+        a = random_rooted(rng, max_n=7, p=0.4, ab=ab)
+        pairs.append((a, random_rooted(rng, max_n=7, p=0.4, ab=ab)))
+        pairs.append((a, permuted_copy(a, rng)))
+        pairs.append((a, with_pendant(a, rng)))
+        pairs.append((with_pendant(a, rng), with_pendant(permuted_copy(a, rng), rng)))
+    seen = set()
+    for a, b in pairs:
+        d = local_distance_oracle(a, b)
+        assert local_distance(a, b) == d
+        assert local_distance(b, a) == d
+        seen.add(d)
+    assert {Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4)} <= seen
+    assert any(len(a.graph.edges) >= a.n for a, _ in pairs)  # cyclic atoms
+    unequal = [(a, b) for a, b in pairs if a.eccentricity() != b.eccentricity()]
+    assert any(local_distance(a, b) < Fraction(1, 2) for a, b in unequal)
 
 
 def test_local_distance_is_a_metric_on_classes():

@@ -47,6 +47,18 @@ def test_alphabet_validation():
         MarkAlphabets(("s", "s"), ("a",))
 
 
+def test_mark_symbols_with_separators_are_rejected():
+    # these two edges would share the canonical code n=2;r=0;t=a,b,c;e=0.1.-.-
+    for tau in (("a,b", "c"), ("a", "b,c")):
+        with pytest.raises(ValueError):
+            build_graph(2, {(0, 1): ("-", "-")}, tau, MarkAlphabets(tau, ("-",)))
+    for bad in ("", "a b", "a\t", "a,b", "a.b", "a|b", "a;b", "a=b"):
+        with pytest.raises(ValueError):
+            MarkAlphabets(("s", bad), ("a",))
+        with pytest.raises(ValueError):
+            MarkAlphabets(("s",), ("a", bad))
+
+
 def test_truncate_single_vertex_identity():
     g = build_graph(1, {}, ("s",), AB)
     r = RootedMarkedGraph(g, 0)

@@ -5,6 +5,7 @@ from localgraphs.canonical import local_distance
 from localgraphs.graphs import MarkAlphabets, build_graph, rooted_component
 from localgraphs.lp_distance import levy_prokhorov, max_flow
 from localgraphs.measures import empirical_distribution, measure_from_pairs
+from localgraphs.verify import lp_subset_oracle
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 
@@ -134,3 +135,37 @@ def test_empirical_distance_example():
     g2 = build_graph(2, {}, ("s", "s"), ab1)
     d = levy_prokhorov(empirical_distribution(g1), empirical_distribution(g2))
     assert d == Fraction(1, 2)
+
+
+def deep_rooted(rng):
+    """A path of 4 to 7 vertices rooted at one end, plus at most one chord,
+    with mostly equal marks, kept when its eccentricity is at least 3."""
+    while True:
+        n = rng.randint(4, 7)
+        marks = {(v, v + 1): ("a", "a" if rng.random() < 0.8 else "b") for v in range(n - 1)}
+        if rng.random() < 0.5:
+            u, v = sorted(rng.sample(range(n), 2))
+            marks.setdefault((u, v), ("a", "a"))
+        tau = tuple("s" if rng.random() < 0.8 else "t" for _ in range(n))
+        r = rooted_component(build_graph(n, marks, tau, AB), 0)
+        if r.eccentricity() >= 3:
+            return r
+
+
+def test_matches_subset_oracle_on_deep_atoms():
+    rng = random.Random(101)
+    deep = False
+    for _ in range(40):
+        mu, nu = (
+            measure_from_pairs(
+                (deep_rooted(rng), Fraction(w, 6)) for w in rng.choice([(6,), (1, 5), (2, 1, 3)])
+            )
+            for _ in range(2)
+        )
+        assert levy_prokhorov(mu, nu) == lp_subset_oracle(mu, nu)
+        deep |= any(
+            0 < local_distance(mu.rep(a), nu.rep(b)) <= Fraction(1, 4)
+            for a in mu.support()
+            for b in nu.support()
+        )
+    assert deep  # some atoms first disagree at radius 3 or beyond
