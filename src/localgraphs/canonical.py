@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .graphs import MarkAlphabets, MarkedGraph, RootedMarkedGraph, ball, build_graph, truncate
 
@@ -52,40 +53,73 @@ def _is_tree(g: MarkedGraph) -> bool:
     return len(g.edges) == g.n - 1
 
 
-def _tree_order(g: MarkedGraph, roots: tuple[int, ...]) -> list[int]:
-    """Canonical BFS/DFS ordering of a tree: children sorted by subtree code."""
-    root = roots[0]
-    extra = {v: tuple(i for i, r in enumerate(roots) if r == v) for v in range(g.n)}
-    parent = {root: None}
-    order_bfs = [root]
-    for v in order_bfs:
+def _root_marks(roots: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """Positions in ``roots`` of each root vertex; every other vertex has ()."""
+    return {r: tuple(i for i, x in enumerate(roots) if x == r) for r in roots}
+
+
+def _entry(g: MarkedGraph, v: int, c: int, below: list[str], mark=()) -> str:
+    """Entry of the tree neighbour c of v: the marks of edge vc, then the code
+    of c's subtree away from v, built from c's own entries ``below``."""
+    return f"[{g.xi[(v, c)]}.{g.xi[(c, v)]}({g.tau[c]}.{mark}|{''.join(sorted(below))})]"
+
+
+def _down_entries(g: MarkedGraph, root: int, marks: dict[int, tuple[int, ...]]):
+    """BFS order and parents of the tree g from root, and the entry of every
+    vertex seen from its parent, keyed by the directed edge (parent, vertex)."""
+    parent = {root: -1}
+    order = [root]
+    for v in order:
         for w in g.adjacency[v]:
             if w not in parent:
                 parent[w] = v
-                order_bfs.append(w)
-    children = {v: [] for v in range(g.n)}
-    for v in order_bfs[1:]:
-        children[parent[v]].append(v)
+                order.append(w)
+    entry: dict[tuple[int, int], str] = {}
+    for v in reversed(order[1:]):
+        p = parent[v]
+        below = [entry[(v, c)] for c in g.adjacency[v] if c != p]
+        entry[(p, v)] = _entry(g, p, v, below, marks.get(v, ()))
+    return order, parent, entry
 
-    code: dict[int, str] = {}
-    for v in reversed(order_bfs):
-        entries = sorted(
-            f"[{g.xi[(v, c)]}.{g.xi[(c, v)]}{code[c]}]" for c in children[v]
-        )
-        code[v] = f"({g.tau[v]}.{extra[v]}|{''.join(entries)})"
 
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        kids = sorted(
-            children[v],
-            key=lambda c: f"[{g.xi[(v, c)]}.{g.xi[(c, v)]}{code[c]}]",
-            reverse=True,
-        )
-        stack.extend(kids)
-    return order
+def _preorder(
+    g: MarkedGraph, roots: Iterable[int], entry: dict[tuple[int, int], str]
+) -> Iterator[list[int]]:
+    """Preorder DFS of the tree g from each root in turn, each vertex visiting
+    its neighbours, its parent excepted, in ascending entry order."""
+    # descending, so the stack pops the least entry first
+    kids = [
+        sorted(a, key=lambda c: entry.get((v, c), ""), reverse=True)
+        for v, a in enumerate(g.adjacency)
+    ]
+    for root in roots:
+        order: list[int] = []
+        stack = [(root, -1)]
+        while stack:
+            v, p = stack.pop()
+            order.append(v)
+            stack.extend((c, v) for c in kids[v] if c != p)
+        yield order
+
+
+def _tree_order(g: MarkedGraph, roots: tuple[int, ...]) -> list[int]:
+    """Canonical order of a tree from roots[0]: children sorted by entry."""
+    _, _, entry = _down_entries(g, roots[0], _root_marks(roots))
+    return next(_preorder(g, roots[:1], entry))
+
+
+def _tree_orders(g: MarkedGraph) -> Iterator[list[int]]:
+    """Canonical order of the tree g rooted at each vertex in turn.
+
+    The subtree of c away from v does not depend on where the tree is rooted,
+    so one down pass from vertex 0 and one up pass (rerooting) give the entry
+    of every directed edge; then each order is one DFS.
+    """
+    order, parent, entry = _down_entries(g, 0, {})
+    for v in order[1:]:
+        p = parent[v]
+        entry[(v, p)] = _entry(g, v, p, [entry[(p, c)] for c in g.adjacency[p] if c != v])
+    return _preorder(g, range(g.n), entry)
 
 
 def _refine(g: MarkedGraph, colors: list) -> list[int]:
@@ -106,8 +140,8 @@ def _refine(g: MarkedGraph, colors: list) -> list[int]:
 
 def _ir_certificate(g: MarkedGraph, roots: tuple[int, ...]) -> str:
     """Minimal certificate over refinement-consistent orderings."""
-    extra = {v: tuple(i for i, r in enumerate(roots) if r == v) for v in range(g.n)}
-    init_labels = [(extra[v], g.tau[v]) for v in range(g.n)]
+    marks = _root_marks(roots)
+    init_labels = [(marks.get(v, ()), g.tau[v]) for v in range(g.n)]
     ranking = {s: i for i, s in enumerate(sorted(set(init_labels)))}
 
     def search(colors: list[int]) -> str:
@@ -126,13 +160,29 @@ def _ir_certificate(g: MarkedGraph, roots: tuple[int, ...]) -> str:
 
 def canonical_code(g: MarkedGraph, roots: tuple[int, ...]) -> bytes:
     """Canonical code of the connected graph g with an ordered root tuple."""
-    if g.n and len(g.component(roots[0])) != g.n:
+    if not g.is_connected():
         raise ValueError("graph must be connected")
     if _is_tree(g):
         cert = _certificate(g, roots, _tree_order(g, roots))
     else:
         cert = _ir_certificate(g, roots)
     return cert.encode()
+
+
+def rooted_classes(g: MarkedGraph) -> list[CanonicalClass]:
+    """Class of the connected graph g rooted at each vertex, in vertex order.
+
+    Entry v equals ``canonicalize(RootedMarkedGraph(g, v))``; a tree shares
+    one rerooting pass between its roots, a cyclic graph runs one
+    individualization-refinement search per root.
+    """
+    if not g.is_connected():
+        raise ValueError("graph must be connected")
+    if _is_tree(g):
+        certs = (_certificate(g, (r,), order) for r, order in enumerate(_tree_orders(g)))
+    else:
+        certs = (_ir_certificate(g, (r,)) for r in range(g.n))
+    return [CanonicalClass(cert.encode()) for cert in certs]
 
 
 def canonicalize(g: RootedMarkedGraph, depth: int | None = None) -> CanonicalClass:

@@ -110,8 +110,13 @@ class MarkedGraph:
             frontier = nxt
         return order
 
-    def is_connected(self) -> bool:
+    @cached_property
+    def _connected(self) -> bool:
         return self.n == 0 or len(self.component(0)) == self.n
+
+    def is_connected(self) -> bool:
+        """Whether g is connected; searched once per graph object, like ``adjacency``."""
+        return self._connected
 
     def bfs_layers(
         self, root: int, radius: int | None = None, cut: Container[tuple[int, int]] = ()

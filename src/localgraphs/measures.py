@@ -18,8 +18,9 @@ from .canonical import (
     decode_rooted,
     profile_distance,
     radius_profile,
+    rooted_classes,
 )
-from .graphs import MarkedGraph, RootedMarkedGraph, rooted_component, truncate
+from .graphs import MarkedGraph, RootedMarkedGraph, ball, truncate
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,30 @@ def measure_from_pairs(
 
 
 def empirical_distribution(g: MarkedGraph) -> LocalMeasure:
-    """U(G): uniform mixture over vertices of the rooted component classes."""
+    """U(G): uniform mixture over vertices of the rooted component classes.
+
+    Each component is extracted once and every vertex is rooted in that one
+    subgraph, which the representatives share.  A tree component of m
+    vertices costs O(m^2): one rerooting pass, then an O(m) order and
+    certificate per root.  A cyclic component costs m individualization-
+    refinement searches, one per root.
+    """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    w = Fraction(1, g.n)
-    return measure_from_pairs((rooted_component(g, v), w) for v in range(g.n))
+    rooted: dict[int, tuple[MarkedGraph, int, CanonicalClass]] = {}
+    counts: dict[CanonicalClass, int] = {}
+    reps: dict[CanonicalClass, RootedMarkedGraph] = {}
+    for v in range(g.n):
+        if v not in rooted:
+            comp = ball(g, v).graph
+            # ball keeps the component's vertices in ascending order
+            for i, (u, cls) in enumerate(zip(sorted(g.component(v)), rooted_classes(comp))):
+                rooted[u] = (comp, i, cls)
+        comp, i, cls = rooted[v]
+        counts[cls] = counts.get(cls, 0) + 1
+        if cls not in reps:
+            reps[cls] = RootedMarkedGraph(comp, i)
+    return LocalMeasure({cls: Fraction(c, g.n) for cls, c in counts.items()}, reps)
 
 
 def truncate_measure(mu: LocalMeasure, k: int) -> LocalMeasure:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from localgraphs.canonical import (
     decode_rooted,
     is_isomorphic,
     local_distance,
+    rooted_classes,
 )
 from localgraphs.graphs import (
     MarkAlphabets,
@@ -120,6 +122,15 @@ def test_pair_codes_track_ordered_roots():
     path = build_graph(3, {(0, 1): ("a", "a"), (1, 2): ("a", "a")}, ("s",) * 3, AB1)
     assert canonicalize_pair(path, 0, 1) != canonicalize_pair(path, 1, 0)
     assert canonicalize_pair(path, 0, 1) == canonicalize_pair(path, 2, 1)
+
+
+def test_disconnected_graph_is_rejected():
+    # an edge plus an isolated vertex: the roots' component is not all of g
+    g = build_graph(3, {(0, 1): ("a", "a")}, ("s",) * 3, AB1)
+    with pytest.raises(ValueError):
+        canonicalize_pair(g, 0, 1)
+    with pytest.raises(ValueError):
+        rooted_classes(g)
 
 
 def test_local_distance_isomorphic_is_zero():

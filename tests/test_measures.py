@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from localgraphs.canonical import canonicalize
+from localgraphs.canonical import canonicalize, rooted_classes
 from localgraphs.graphs import (
     MarkAlphabets,
     RootedMarkedGraph,
+    ball,
     build_graph,
     rooted_component,
     truncate,
@@ -71,6 +72,53 @@ def test_empirical_atoms_match_oracle_partition():
     assert len(mu.atoms) == len(groups)
     expected = sorted(Fraction(len(grp), g.n) for grp in groups)
     assert sorted(mu.atoms.values()) == expected
+
+
+def random_forest(rng, n, max_degree, ab, keep=1.0, chords=0):
+    """Random recursive tree with degrees at most max_degree, each edge kept
+    with probability ``keep``, plus ``chords`` extra edges (each closes one cycle)."""
+    marks = {}
+    degree = [0] * n
+    for v in range(1, n):
+        u = rng.choice([u for u in range(v) if degree[u] < max_degree])
+        degree[u] += 1
+        degree[v] += 1
+        if rng.random() < keep:
+            marks[(u, v)] = (rng.choice(ab.xi), rng.choice(ab.xi))
+    for _ in range(chords):
+        u, v = sorted(rng.sample(range(n), 2))
+        marks.setdefault((u, v), (rng.choice(ab.xi), rng.choice(ab.xi)))
+    tau = tuple(rng.choice(ab.theta) for _ in range(n))
+    return build_graph(n, marks, tau, ab)
+
+
+def test_empirical_matches_per_vertex_classes():
+    # paths, stars and one-symbol marks give many tied subtree entries
+    rng = random.Random(67)
+    graphs = [build_graph(1, {}, ("s",), AB1), build_graph(3, {}, ("s", "t", "s"), AB)]
+    for max_degree in (2, 3, 4, 6):
+        for _ in range(6):
+            n = rng.randint(2, 30)
+            ab = rng.choice((AB, AB1))
+            graphs.append(random_forest(rng, n, max_degree, ab))
+            graphs.append(random_forest(rng, n, max_degree, ab, keep=0.8))
+            graphs.append(random_forest(rng, n, max_degree, ab, keep=0.9, chords=1))
+    for g in graphs:
+        classes = [canonicalize(rooted_component(g, v)) for v in range(g.n)]
+        seen = set()
+        for v in range(g.n):
+            if v not in seen:
+                comp = sorted(g.component(v))
+                seen.update(comp)
+                assert rooted_classes(ball(g, v).graph) == [classes[u] for u in comp]
+        mu = empirical_distribution(g)
+        assert mu.atoms == {c: Fraction(classes.count(c), g.n) for c in classes}
+        # atoms in order of their first vertex, each represented there
+        assert list(mu.atoms) == list(dict.fromkeys(classes))
+        for a in mu.atoms:
+            first = rooted_component(g, classes.index(a))
+            assert (mu.rep(a).graph, mu.rep(a).root) == (first.graph, first.root)
+            assert canonicalize(mu.rep(a)) == a
 
 
 def test_truncated_empirical_of_three_path():
