@@ -185,10 +185,8 @@ def rooted_classes(g: MarkedGraph) -> list[CanonicalClass]:
     return [CanonicalClass(cert.encode()) for cert in certs]
 
 
-def canonicalize(g: RootedMarkedGraph, depth: int | None = None) -> CanonicalClass:
-    """Canonical class of a rooted marked graph, optionally depth-truncated."""
-    if depth is not None:
-        g = truncate(g, depth)
+def canonicalize(g: RootedMarkedGraph) -> CanonicalClass:
+    """Canonical class of a rooted marked graph."""
     return CanonicalClass(canonical_code(g.graph, (g.root,)))
 
 
@@ -244,7 +242,7 @@ def radius_profile(
     the last entry, since truncating beyond the eccentricity gives back g.
     """
     full = canonicalize(g) if cls is None else cls
-    return tuple(canonicalize(g, r) for r in range(g.eccentricity())) + (full,)
+    return tuple(canonicalize(truncate(g, r)) for r in range(g.eccentricity())) + (full,)
 
 
 def profile_distance(p: tuple[CanonicalClass, ...], q: tuple[CanonicalClass, ...]) -> Fraction:

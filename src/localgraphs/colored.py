@@ -116,9 +116,6 @@ class ColoredDegreeSequence:
     def at(self, v: int) -> dict[Color, int]:
         return dict(self.degrees[v])
 
-    def count(self, v: int, c: Color) -> int:
-        return dict(self.degrees[v]).get(c, 0)
-
     def column_sums(self) -> dict[Color, int]:
         s: dict[Color, int] = {}
         for row in self.degrees:

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 from .errors import CapExceeded
 from .graphs import DegreeSequence, MarkedGraph, build_graph
 from .marks import CountVectors
-from .measures import LocalMeasure, empirical_distribution, truncate_measure
+from .measures import LocalMeasure, empirical_distribution
 
 DEFAULT_VERTEX_CAP = 8
 
@@ -251,10 +251,11 @@ def finite_entropy_estimate(
 
 
 def count_Nk(gamma_ref: MarkedGraph, cv: CountVectors, k: int, cap: int = DEFAULT_VERTEX_CAP) -> int:
-    """Members of the (m, u) class whose depth-k empirical law matches gamma_ref."""
-    ref = truncate_measure(empirical_distribution(gamma_ref), k)
+    """Members of the (m, u) class whose depth-k empirical law, read off
+    depth-k balls, matches gamma_ref's."""
+    ref = empirical_distribution(gamma_ref, depth=k)
     total = 0
     for g in enumerate_marked_counts(gamma_ref.n, cv, cap):
-        if truncate_measure(empirical_distribution(g), k) == ref:
+        if empirical_distribution(g, depth=k) == ref:
             total += 1
     return total

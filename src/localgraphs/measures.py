@@ -56,33 +56,33 @@ class LocalMeasure:
         return sorted(self.atoms)
 
 
-def measure_from_pairs(
-    pairs: Iterable[tuple[RootedMarkedGraph, Fraction]],
-    depth: int | None = None,
-) -> LocalMeasure:
+def measure_from_pairs(pairs: Iterable[tuple[RootedMarkedGraph, Fraction]]) -> LocalMeasure:
     """Build a measure from weighted rooted graphs, canonicalizing atoms."""
     atoms: dict[CanonicalClass, Fraction] = {}
     reps: dict[CanonicalClass, RootedMarkedGraph] = {}
     for g, w in pairs:
-        if depth is not None:
-            g = truncate(g, depth)
         cls = canonicalize(g)
         atoms[cls] = atoms.get(cls, Fraction(0)) + w
         reps.setdefault(cls, g)
     return LocalMeasure(atoms, reps)
 
 
-def empirical_distribution(g: MarkedGraph) -> LocalMeasure:
-    """U(G): uniform mixture over vertices of the rooted component classes.
+def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMeasure:
+    """U(G): uniform mixture over vertices of the rooted component classes,
+    or of the rooted depth-``depth`` ball classes when a depth is given.
 
-    Each component is extracted once and every vertex is rooted in that one
-    subgraph, which the representatives share.  A tree component of m
-    vertices costs O(m^2): one rerooting pass, then an O(m) order and
+    With a depth, each vertex's ball is canonicalized once and kept as its
+    atom's representative: O(n * ball), and no full-depth code is built.  At
+    full depth each component is extracted once and every vertex is rooted in
+    that one subgraph, which the representatives share.  A tree component of
+    m vertices costs O(m^2): one rerooting pass, then an O(m) order and
     certificate per root.  A cyclic component costs m individualization-
     refinement searches, one per root.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
+    if depth is not None:
+        return measure_from_pairs((ball(g, v, depth), Fraction(1, g.n)) for v in range(g.n))
     rooted: dict[int, tuple[MarkedGraph, int, CanonicalClass]] = {}
     counts: dict[CanonicalClass, int] = {}
     reps: dict[CanonicalClass, RootedMarkedGraph] = {}
@@ -101,9 +101,7 @@ def empirical_distribution(g: MarkedGraph) -> LocalMeasure:
 
 def truncate_measure(mu: LocalMeasure, k: int) -> LocalMeasure:
     """Pushforward of mu under depth-k truncation, recanonicalized."""
-    return measure_from_pairs(
-        ((mu.rep(atom), w) for atom, w in mu.atoms.items()), depth=k
-    )
+    return pushforward(mu, lambda rg: truncate(rg, k))
 
 
 def project_unmarked(mu: LocalMeasure) -> LocalMeasure:

@@ -260,8 +260,14 @@ def colored_to_matrix(D: ColoredDegreeSequence) -> tuple[DegreeMatrix, list[Colo
                 present.add(c)
                 present.add(ColorSet.conjugate(c))
     order, p, m = color_row_order(D.colors, present)
-    rows = tuple(tuple(D.count(v, c) for v in range(D.n)) for c in order)
-    return DegreeMatrix(p, m, rows), order
+    index = {c: i for i, c in enumerate(order)}
+    rows = [[0] * D.n for _ in order]
+    # scatter each vertex's nonzero entries; a zero entry's colour may have no row
+    for v in range(D.n):
+        for c, k in D.degrees[v]:
+            if k:
+                rows[index[c]][v] = k
+    return DegreeMatrix(p, m, tuple(map(tuple, rows))), order
 
 
 def matrix_to_colored(

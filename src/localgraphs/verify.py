@@ -472,8 +472,8 @@ def suite_surgery(n: int = 200) -> CriterionResult:
     ell[leaf] = 3  # raise one leaf's target degree; total stays even
     rebuilt, report = modify_graph(gamma, DegreeSequence(tuple(ell)), 1, rng)
     lp = levy_prokhorov(
-        truncate_measure(empirical_distribution(rebuilt), 1),
-        truncate_measure(empirical_distribution(gamma), 1),
+        empirical_distribution(rebuilt, depth=1),
+        empirical_distribution(gamma, depth=1),
     )
     displacement_ok = lp <= Fraction(report.modified_vertices, n)
     within_bound = report.modified_vertices <= report.propagated_bound

@@ -157,8 +157,8 @@ def test_local_distance_depth_three_disagreement():
     a = RootedMarkedGraph(p3, 0)
     b = RootedMarkedGraph(p4, 0)
     for r in (0, 1, 2):
-        assert canonicalize(a, r) == canonicalize(b, r)
-    assert canonicalize(a, 3) != canonicalize(b, 3)
+        assert canonicalize(truncate(a, r)) == canonicalize(truncate(b, r))
+    assert canonicalize(truncate(a, 3)) != canonicalize(truncate(b, 3))
     assert local_distance(a, b) == Fraction(1, 4)
 
 

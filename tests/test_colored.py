@@ -22,7 +22,7 @@ from localgraphs.colored import (
 )
 from localgraphs.errors import InconsistentColors, InvalidSequence
 from localgraphs.canonical import canonicalize
-from localgraphs.graphs import MarkAlphabets, build_graph, rooted_component
+from localgraphs.graphs import MarkAlphabets, build_graph, rooted_component, truncate
 
 from oracles import cm_pairings_oracle, girth_oracle
 
@@ -243,8 +243,8 @@ def test_color_graph_matches_edge_deletion_oracle():
             for (u, v) in g.edges:
                 rest = {e: x for e, x in marks.items() if e != (u, v)}
                 pruned = build_graph(g.n, rest, g.tau, g.alphabets)
-                f_uv = (g.xi[(u, v)], canonicalize(rooted_component(pruned, v), k - 1).code)
-                f_vu = (g.xi[(v, u)], canonicalize(rooted_component(pruned, u), k - 1).code)
+                f_uv = (g.xi[(u, v)], canonicalize(truncate(rooted_component(pruned, v), k - 1)).code)
+                f_vu = (g.xi[(v, u)], canonicalize(truncate(rooted_component(pruned, u), k - 1)).code)
                 c = (colors.index(f_uv), colors.index(f_vu))
                 assert cm.multiplicity(c, u, v) == 1
     assert cyclic >= 10

@@ -27,6 +27,7 @@ from localgraphs.measures import (
     truncate_measure,
     write_measure,
 )
+from localgraphs.verify import random_bounded_tree, random_sparse_graph
 
 from oracles import partition_by_isomorphism
 
@@ -121,6 +122,26 @@ def test_empirical_matches_per_vertex_classes():
             assert canonicalize(mu.rep(a)) == a
 
 
+def test_depth_k_empirical_equals_truncated_full_depth():
+    # trees, forests with isolated vertices, one vertex, sparse cyclic graphs
+    rng = random.Random(71)
+    graphs = [build_graph(1, {}, ("s",), AB1)]
+    for _ in range(10):
+        graphs.append(random_bounded_tree(rng, rng.randint(2, 40)))
+        graphs.append(random_forest(rng, rng.randint(2, 30), 3, AB, keep=0.6))
+        graphs.append(random_sparse_graph(rng, rng.randint(2, 30)))
+    assert any(not g.adjacency[v] for g in graphs[1:] for v in range(g.n))
+    components = [len({frozenset(g.component(v)) for v in range(g.n)}) for g in graphs]
+    assert sum(len(g.edges) > g.n - c for g, c in zip(graphs, components)) >= 3
+    for g in graphs:
+        full = empirical_distribution(g)
+        for k in range(4):
+            mu = empirical_distribution(g, depth=k)
+            assert mu == truncate_measure(full, k)
+            for a in mu.atoms:
+                assert canonicalize(mu.rep(a)) == a
+
+
 def test_truncated_empirical_of_three_path():
     mu = truncate_measure(empirical_distribution(path_graph(3)), 1)
     # depth-1 views: endpoint sees one neighbor, middle sees two
@@ -133,7 +154,7 @@ def test_truncation_merges_locally_identical_graphs():
     # a long path and a longer path look identical to depth 1 from inner vertices
     a = rooted_component(path_graph(5), 2)
     b = rooted_component(path_graph(7), 3)
-    mu = measure_from_pairs([(a, Fraction(1, 2)), (b, Fraction(1, 2))], depth=1)
+    mu = measure_from_pairs([(truncate(a, 1), Fraction(1, 2)), (truncate(b, 1), Fraction(1, 2))])
     assert len(mu.atoms) == 1
 
 

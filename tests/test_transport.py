@@ -7,7 +7,13 @@ from itertools import product
 
 import pytest
 
-from localgraphs.colored import color_graph, colored_degree_sequence_of, sample_cm
+from localgraphs.colored import (
+    ColoredDegreeSequence,
+    ColorSet,
+    color_graph,
+    colored_degree_sequence_of,
+    sample_cm,
+)
 from localgraphs.errors import Infeasible, InvalidSequence
 from localgraphs.graphs import DegreeSequence, MarkAlphabets, build_graph
 from localgraphs.transport import (
@@ -29,6 +35,7 @@ from localgraphs.transport import (
     write_matrix,
     write_targets,
 )
+from localgraphs.verify import random_sparse_graph
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 
@@ -223,6 +230,25 @@ def test_colored_matrix_round_trip():
         A, order = colored_to_matrix(D)
         back = matrix_to_colored(A, order, D.colors)
         assert back.degrees == D.degrees
+
+
+def test_colored_matrix_rows_match_per_vertex_counts():
+    rng = random.Random(113)
+    # a zero entry, as a cds file may hold, names a colour with no row
+    sequences = [
+        ColoredDegreeSequence.from_maps(
+            ColorSet((("a", b"t0"), ("b", b"t1"))), [{(0, 0): 1, (0, 1): 0}, {(0, 0): 1}]
+        )
+    ]
+    for _ in range(30):
+        g = random_sparse_graph(rng, rng.randint(2, 14))
+        if g.edges:
+            sequences.extend(colored_degree_sequence_of(color_graph(g, k)[0]) for k in (1, 2))
+    for D in sequences:
+        A, order = colored_to_matrix(D)
+        assert A.a == tuple(
+            tuple(dict(D.degrees[v]).get(c, 0) for v in range(D.n)) for c in order
+        )
 
 
 def test_modify_colored_degrees_hits_targets():
