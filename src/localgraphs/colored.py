@@ -107,7 +107,13 @@ class ColoredDegreeSequence:
 
     @classmethod
     def from_maps(cls, colors: ColorSet, maps: list[dict[Color, int]]) -> "ColoredDegreeSequence":
-        return cls(colors, tuple(tuple(sorted(m.items())) for m in maps))
+        """Equal rows are stored as one shared tuple, so a profile with few
+        distinct rows costs n pointers plus those rows."""
+        rows: dict[tuple, tuple] = {}
+        return cls(
+            colors,
+            tuple(rows.setdefault(r, r) for r in (tuple(sorted(m.items())) for m in maps)),
+        )
 
     @property
     def n(self) -> int:

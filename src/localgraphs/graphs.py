@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Container, Mapping
 
 from .errors import NonGraphical
@@ -264,16 +265,24 @@ class DegreeSequence:
         return sum(self.ell) // 2
 
     def is_graphical(self) -> bool:
-        """Erdos-Gallai test for realizability by a simple graph."""
+        """Erdos-Gallai test for realizability by a simple graph, in O(n)
+        after the sort (the pointer form of Tripathi & Vijay, 2003).
+
+        With seq nonincreasing and c the number of entries >= k, the tail
+        sum of min(d, k) over seq[k:] is k per entry up to index max(c, k)
+        plus the suffix sum from there; c only moves down as k grows.
+        """
         seq = sorted(self.ell, reverse=True)
         n = len(seq)
-        if n and seq[0] >= n:
-            return False
+        suffix = list(accumulate(reversed(seq), initial=0))[::-1]
+        c = n
         prefix = 0
         for k in range(1, n + 1):
+            while c and seq[c - 1] < k:
+                c -= 1
             prefix += seq[k - 1]
-            rhs = k * (k - 1) + sum(min(d, k) for d in seq[k:])
-            if prefix > rhs:
+            j = max(c, k)
+            if prefix > k * (k - 1) + k * (j - k) + suffix[j]:
                 return False
         return True
 

@@ -90,13 +90,31 @@ class ModelParams:
 def chi2_leq(chi: Mapping, order: Sequence[str] | None = None) -> dict:
     """Law of the nondecreasing pair of two independent draws from chi.
 
-    A symbol is <= another when it comes earlier in ``order``; the default is
-    string order, ``sorted(chi)``.
+    A symbol is <= another when it comes earlier in ``order``, an alphabet's
+    xi; the default is the order of chi's keys, which ``ModelParams`` lists
+    in alphabet order.
     """
-    symbols = sorted(chi) if order is None else list(order)
+    symbols = list(chi if order is None else order)
     out = {}
     for i, x in enumerate(symbols):
         out[(x, x)] = chi[x] * chi[x]
         for xp in symbols[i + 1 :]:
             out[(x, xp)] = 2 * chi[x] * chi[xp]
+    return out
+
+
+def fold_leq(law: Mapping, order: Sequence[str]) -> dict:
+    """Fold a mapping on ordered mark pairs (x, x') onto the pairs with
+    x <= x', where <= is position in ``order`` as in ``chi2_leq`` and
+    ``MarkAlphabets.xi_leq_pairs``: the two orientations of a pair add up.
+    Symbols missing from ``order`` come after it, in string order."""
+    pos = {x: i for i, x in enumerate(order)}
+
+    def rank(x):
+        return (pos.get(x, len(pos)), x)
+
+    out: dict = {}
+    for (x, xp), v in law.items():
+        key = (x, xp) if rank(x) <= rank(xp) else (xp, x)
+        out[key] = out.get(key, 0) + v
     return out

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TextIO
+from typing import Sequence, TextIO
 
 from .errors import InvalidSequence, RangeViolation
-from .marks import chi2_leq
+from .marks import chi2_leq, fold_leq
 from .measures import LocalMeasure, project_unmarked, truncate_measure
 
 INF = float("inf")
@@ -88,14 +88,10 @@ class AverageDegreeVector:
     def total(self):
         return sum(self.d.values())
 
-    def leq_view(self) -> dict:
-        out = {}
-        for (x, xp), v in self.d.items():
-            if x < xp:
-                out[(x, xp)] = v + self.d[(xp, x)]
-            elif x == xp:
-                out[(x, x)] = v
-        return out
+    def leq_view(self, order: Sequence[str]) -> dict:
+        """Mean degrees on pairs x <= x' by position in ``order`` (the xi
+        alphabet); off the diagonal both orientations add up."""
+        return fold_leq(self.d, order)
 
 
 def s_vector(dvec: AverageDegreeVector) -> float:
@@ -120,7 +116,6 @@ class MeasureStats:
     dvec: dict  # ordered (x, x') -> Fraction mean counts at the root
     deg: Fraction
     pi: dict  # vertex mark -> Fraction
-    deg_leq: dict
 
 
 def measure_degree_stats(mu: LocalMeasure) -> MeasureStats:
@@ -134,11 +129,7 @@ def measure_degree_stats(mu: LocalMeasure) -> MeasureStats:
             key = (g.xi[(root, v)], g.xi[(v, root)])
             dvec[key] = dvec.get(key, Fraction(0)) + w
     deg = sum(dvec.values(), Fraction(0))
-    leq: dict = {}
-    for (x, xp), v in dvec.items():
-        k = (x, xp) if x <= xp else (xp, x)
-        leq[k] = leq.get(k, Fraction(0)) + v
-    return MeasureStats(mu, dvec, deg, pi, leq)
+    return MeasureStats(mu, dvec, deg, pi)
 
 
 def degree_projection(mu: LocalMeasure) -> dict:
@@ -218,7 +209,8 @@ def rate_lambda(
     base = rate_I_PdQ(j1, sigma, mu_dvec, stats.pi, rho1, P)
     if base == INF:
         return INF
-    alpha = {k: Fraction(v, d) for k, v in stats.deg_leq.items()}
+    # alpha and chi2_leq(chi) both order the pairs by chi's keys
+    alpha = {k: Fraction(v, d) for k, v in fold_leq(stats.dvec, chi).items()}
     return (
         base
         + float(d) / 2 * relative_entropy(alpha, chi2_leq(chi))

@@ -24,6 +24,7 @@ from .colored import (
     sample_filtered_cm,
 )
 from .enumeration import enumerate_marked, enumerate_marked_counts, marked_class_size_formula
+from .errors import CountMismatch
 from .graphs import (
     DegreeSequence,
     MarkAlphabets,
@@ -99,7 +100,8 @@ def _counting_grid():
     def add(ell, theta_split, m_split, ab):
         ds = DegreeSequence(ell)
         n, e = ds.n, ds.edge_count
-        assert sum(theta_split) == n and sum(m_split) == e
+        if sum(theta_split) != n or sum(m_split) != e:
+            raise CountMismatch(f"grid entry {ell}: mark splits do not match n and e")
         if len(ab.theta) == 1:
             u = {"s": n}
         else:

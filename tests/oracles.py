@@ -173,3 +173,19 @@ def cm_pairings_oracle(D) -> list[tuple]:
                 [[(c, u, v) for u, v in zip(stubs[c], p)] for p in permutations(stubs.get(cb, []))]
             )
     return [tuple(sorted(x for part in choice for x in part)) for choice in product(*factors)]
+
+
+def erdos_gallai_oracle(ell) -> bool:
+    """The Erdos-Gallai inequalities checked term by term, in O(n^2): for
+    every k, the k largest degrees sum to at most k(k - 1) plus the sum of
+    min(d, k) over the remaining degrees."""
+    seq = sorted(ell, reverse=True)
+    n = len(seq)
+    if n and seq[0] >= n:
+        return False
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += seq[k - 1]
+        if prefix > k * (k - 1) + sum(min(d, k) for d in seq[k:]):
+            return False
+    return True

@@ -359,3 +359,24 @@ def test_filtered_cm_matches_exact_conditional_law(D, h):
     for key, p in law.items():
         se = math.sqrt(p * (1 - p) / trials)
         assert abs(counts[key] / trials - p) < 4 * se, (key, counts[key], p)
+
+
+def test_from_maps_shares_equal_rows():
+    from localgraphs.verify import _alpha_profile
+
+    D = _alpha_profile(8)
+    assert D.degrees[0] is D.degrees[2] and D.degrees[1] is D.degrees[3]
+    assert len({id(row) for row in D.degrees}) == 2
+    # the same profile from one fresh tuple per vertex
+    unshared = ColoredDegreeSequence(
+        D.colors,
+        tuple(
+            tuple(sorted(({(0, 0): 2} if v % 2 == 0 else {(0, 1): 1, (1, 0): 1}).items()))
+            for v in range(8)
+        ),
+    )
+    assert unshared.degrees[0] is not unshared.degrees[2]
+    assert D == unshared and hash(D) == hash(unshared)
+    assert D.half_edges() == unshared.half_edges()
+    assert write_cds(D) == write_cds(unshared)
+    assert read_cds(write_cds(D)) == D

@@ -16,7 +16,7 @@ from localgraphs.graphs import (
     write_graph,
 )
 
-from oracles import bfs_layers_oracle
+from oracles import bfs_layers_oracle, erdos_gallai_oracle
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 
@@ -168,6 +168,36 @@ def test_erdos_gallai_against_enumeration():
             ds = DegreeSequence(ell)
             nonempty = enumerate_graphs(ds).count > 0
             assert ds.is_graphical() == nonempty, ell
+
+
+def test_erdos_gallai_matches_quadratic_oracle_exhaustively():
+    # every even-sum sequence with n <= 6 and degrees 0..n: the empty and
+    # all-zero sequences and seq[0] >= n included
+    from itertools import product
+
+    decisions = set()
+    for n in range(7):
+        for ell in product(range(n + 1), repeat=n):
+            if sum(ell) % 2 == 0:
+                got = DegreeSequence(ell).is_graphical()
+                assert got == erdos_gallai_oracle(ell), ell
+                decisions.add(got)
+    assert decisions == {True, False}
+
+
+def test_erdos_gallai_matches_quadratic_oracle_on_random_sequences():
+    rng = random.Random(7)
+    decisions = {True: 0, False: 0}
+    for _ in range(2000):
+        n = rng.randint(1, 60)
+        cap = rng.randint(0, n)
+        ell = [rng.randint(0, cap) for _ in range(n)]
+        if sum(ell) % 2:
+            ell[rng.randrange(n)] ^= 1
+        got = DegreeSequence(tuple(ell)).is_graphical()
+        assert got == erdos_gallai_oracle(ell), ell
+        decisions[got] += 1
+    assert min(decisions.values()) > 100, decisions
 
 
 def test_nongraphical_is_raised():

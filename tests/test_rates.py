@@ -6,7 +6,7 @@ import pytest
 
 from localgraphs.errors import InvalidSequence, RangeViolation
 from localgraphs.graphs import MarkAlphabets, build_graph
-from localgraphs.marks import CountVectors
+from localgraphs.marks import CountVectors, ModelParams, count_vectors_of, fold_leq
 from localgraphs.measures import empirical_distribution
 from localgraphs.rates import (
     AverageDegreeVector,
@@ -82,7 +82,24 @@ def test_average_degree_vector_validation():
         AverageDegreeVector({("a", "a"): 0.0})  # zero total
     dv = AverageDegreeVector({("a", "b"): 1.0, ("b", "a"): 1.0, ("a", "a"): 0.5})
     assert dv.total == pytest.approx(2.5)
-    assert dv.leq_view() == {("a", "b"): 2.0, ("a", "a"): 0.5}
+    assert dv.leq_view(("a", "b")) == {("a", "b"): 2.0, ("a", "a"): 0.5}
+    assert dv.leq_view(("b", "a")) == {("b", "a"): 2.0, ("a", "a"): 0.5}
+
+
+def test_leq_on_xi_follows_alphabet_position():
+    # with a non-sorted alphabet, the count view, the chi2 law and the
+    # mean-degree view all order the pair {a, b} as (b, a)
+    ab = MarkAlphabets(("s",), ("b", "a"))
+    g = build_graph(2, {(0, 1): ("a", "b")}, ("s", "s"), ab)
+    cv = count_vectors_of(g)
+    law = {k: Fraction(c, cv.m_norm) for k, c in cv.m_leq.items()}
+    chi = ModelParams.uniform(ab).chi
+    assert relative_entropy(law, chi2_leq(chi)) == pytest.approx(math.log(2))
+    assert chi2_leq(chi) == chi2_leq(chi, ab.xi)
+    dvec = AverageDegreeVector(dict(measure_degree_stats(empirical_distribution(g)).dvec))
+    assert dvec.leq_view(ab.xi) == {("b", "a"): 1}
+    # a symbol missing from the order comes after it
+    assert fold_leq({("c", "b"): 1, ("b", "c"): 1}, ab.xi) == {("b", "c"): 2}
 
 
 def test_sanov_rate_zero_at_the_model_law():
