@@ -200,10 +200,9 @@ def canonicalize_pair(g: MarkedGraph, o: int, v: int) -> CanonicalClass:
     return CanonicalClass(canonical_code(g, (o, v)))
 
 
-def decode_code(code: bytes, alphabets: MarkAlphabets | None = None):
-    """Rebuild a representative (MarkedGraph, roots) from a canonical code."""
-    text = code.decode()
-    fields = dict(part.split("=", 1) for part in text.split(";"))
+def _parse_code(code: bytes):
+    """Vertex count, roots, vertex marks and edge marks written in a code."""
+    fields = dict(part.split("=", 1) for part in code.decode().split(";"))
     n = int(fields["n"])
     roots = tuple(int(r) for r in fields["r"].split(",") if r != "")
     tau = tuple(fields["t"].split(",")) if n else ()
@@ -212,14 +211,23 @@ def decode_code(code: bytes, alphabets: MarkAlphabets | None = None):
         for item in fields["e"].split("|"):
             u, v, xuv, xvu = item.split(".")
             edge_marks[(int(u), int(v))] = (xuv, xvu)
-    if alphabets is None:
-        theta = tuple(dict.fromkeys(tau)) or ("*",)
-        xs = []
-        for pair in edge_marks.values():
-            xs.extend(pair)
-        xi_syms = tuple(dict.fromkeys(xs)) or ("-",)
-        alphabets = MarkAlphabets(theta, xi_syms)
-    g = build_graph(n, edge_marks, tau, alphabets)
+    return n, roots, tau, edge_marks
+
+
+def code_alphabets(codes: Iterable[bytes]) -> MarkAlphabets:
+    """The mark symbols used by the codes, each alphabet in sorted order;
+    the unmarked symbol stands in for an alphabet that no code uses."""
+    parsed = [_parse_code(code) for code in codes]
+    theta = sorted({t for _, _, tau, _ in parsed for t in tau})
+    xi = sorted({x for _, _, _, marks in parsed for pair in marks.values() for x in pair})
+    return MarkAlphabets(tuple(theta) or ("*",), tuple(xi) or ("-",))
+
+
+def decode_code(code: bytes, alphabets: MarkAlphabets | None = None):
+    """Rebuild a representative (MarkedGraph, roots) from a canonical code,
+    over ``code_alphabets([code])`` when no alphabets are given."""
+    n, roots, tau, edge_marks = _parse_code(code)
+    g = build_graph(n, edge_marks, tau, alphabets or code_alphabets([code]))
     return g, roots
 
 

@@ -1,23 +1,31 @@
 """Exact Levy-Prokhorov distance between finitely supported measures.
 
-For finite supports the two-sided inequality over all Borel sets reduces to a
-finite feasibility problem.  The worst-case excess max_A [mu(A) - nu(A^eps)]
-equals one minus a maximum flow on the bipartite atom graph whose admissible
-edges are the pairs within distance eps, and the excess is piecewise constant
-between consecutive pairwise-distance values, so the infimum is found by an
-exact scan over those intervals.  All arithmetic is rational.
+d_LP is the least eps at which the worst-case excess max_A [mu(A) - nu(A^eps)]
+is at most eps.  In general that excess is one minus a maximum flow over the
+atom pairs within eps.  But the local distance 1/(1 + j), with j the first
+radius at which two rooted graphs differ, is an ultrametric: if a, b agree to
+radius r and b, c agree to radius r, then a, c agree to radius r.  So the pairs
+within 1/(2 + r) are exactly those with equal depth-r classes, the admissible
+graph is a disjoint union of complete blocks, one per depth-r class C, and
+1 - maxflow = sum over C of (mu(C) - nu(C))^+ = e_r, the d_TV between the
+depth-r truncations.  Threshold 0 gives d_TV, which is at most 1, and a
+threshold that no pair realizes never lowers the minimum, since the excess is
+constant between realized distances.  Hence d_LP = min(d_TV, min over r of
+max(1/(2 + r), e_r)), with r below the largest eccentricity among the atoms.
+All arithmetic is rational.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from fractions import Fraction
 
-from .canonical import profile_distance, radius_profile
+from .canonical import CanonicalClass, radius_profile
 from .measures import LocalMeasure
 
 
 def max_flow(n: int, capacity: dict[tuple[int, int], Fraction], s: int, t: int) -> Fraction:
-    """Edmonds-Karp with exact rational capacities on a small dense network."""
+    """Edmonds-Karp with exact rational capacities on a small dense network;
+    the general solver that the tests check ``levy_prokhorov`` against."""
     residual: dict[tuple[int, int], Fraction] = dict(capacity)
     adj: list[set[int]] = [set() for _ in range(n)]
     for (u, v) in capacity:
@@ -48,58 +56,33 @@ def max_flow(n: int, capacity: dict[tuple[int, int], Fraction], s: int, t: int) 
         flow += bottleneck
 
 
-def _excess(
-    mu_w: list[Fraction],
-    nu_w: list[Fraction],
-    dist: list[list[Fraction]],
-    threshold: Fraction,
-) -> Fraction:
-    """max over sets A of mu(A) - nu(A-enlarged), pairs admissible at d <= threshold.
-
-    Symmetric in the two measures because the admissible relation is.
-    """
-    p, q = len(mu_w), len(nu_w)
-    s, t = p + q, p + q + 1
-    cap: dict[tuple[int, int], Fraction] = {}
-    big = Fraction(2)  # exceeds total mass, acts as infinity
-    for i in range(p):
-        cap[(s, i)] = mu_w[i]
-        for j in range(q):
-            if dist[i][j] <= threshold:
-                cap[(i, p + j)] = big
-    for j in range(q):
-        cap[(p + j, t)] = nu_w[j]
-    return Fraction(1) - max_flow(p + q + 2, cap, s, t)
+def _half_l1(x: dict[CanonicalClass, Fraction], y: dict[CanonicalClass, Fraction]) -> Fraction:
+    keys = set(x) | set(y)
+    return sum((abs(x.get(k, 0) - y.get(k, 0)) for k in keys), Fraction(0)) / 2
 
 
 def total_variation(mu: LocalMeasure, nu: LocalMeasure) -> Fraction:
     """Exact d_TV = half the L1 distance between atom weight vectors."""
-    keys = set(mu.atoms) | set(nu.atoms)
-    return sum(
-        (abs(mu.atoms.get(k, Fraction(0)) - nu.atoms.get(k, Fraction(0))) for k in keys),
-        Fraction(0),
-    ) / 2
+    return _half_l1(mu.atoms, nu.atoms)
 
 
 def levy_prokhorov(mu: LocalMeasure, nu: LocalMeasure) -> Fraction:
     """Exact d_LP(mu, nu) for finitely supported measures on canonical classes."""
-    mu_atoms = mu.support()
-    nu_atoms = nu.support()
-    mu_w = [mu.atoms[a] for a in mu_atoms]
-    nu_w = [nu.atoms[a] for a in nu_atoms]
-    # one radius profile per atom: p + q profiles rather than p * q distances
-    profile = {a: radius_profile(mu.rep(a), a) for a in mu_atoms}
-    profile.update((b, radius_profile(nu.rep(b), b)) for b in nu_atoms if b not in profile)
-    dist = [[profile_distance(profile[a], profile[b]) for b in nu_atoms] for a in mu_atoms]
-    values = sorted({Fraction(0)} | {d for row in dist for d in row})
-    # excess is constant on each interval (values[i], values[i+1]]; the
-    # feasible infimum on that interval is max(values[i], excess there).
-    # Distances never exceed 1, so threshold 1 admits every pair and d_LP <= 1.
-    best = Fraction(1)
-    for v in values:
-        e = _excess(mu_w, nu_w, dist, v)
-        best = min(best, max(v, e))
-        if e <= v:
-            # larger thresholds only admit more pairs; no better candidate exists
+    # one radius profile per atom; entry min(r, len - 1) is the depth-r class
+    profile = {a: radius_profile(mu.rep(a), a) for a in mu.support()}
+    profile.update((b, radius_profile(nu.rep(b), b)) for b in nu.support() if b not in profile)
+
+    def at_depth(m: LocalMeasure, r: int) -> dict[CanonicalClass, Fraction]:
+        out: dict[CanonicalClass, Fraction] = defaultdict(Fraction)
+        for a, w in m.atoms.items():
+            out[profile[a][min(r, len(profile[a]) - 1)]] += w
+        return out
+
+    best = total_variation(mu, nu)
+    for r in range(max(len(p) for p in profile.values()) - 1):
+        eps, excess = Fraction(1, 2 + r), _half_l1(at_depth(mu, r), at_depth(nu, r))
+        best = min(best, max(eps, excess))
+        if excess >= eps:
+            # e_r only grows with r while 1/(2 + r) shrinks
             break
     return best

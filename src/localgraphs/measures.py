@@ -15,6 +15,7 @@ from .canonical import (
     CanonicalClass,
     canonicalize,
     canonicalize_pair,
+    code_alphabets,
     decode_rooted,
     profile_distance,
     radius_profile,
@@ -46,10 +47,12 @@ class LocalMeasure:
 
     def rep(self, atom: CanonicalClass) -> RootedMarkedGraph:
         if atom not in self.reps:
-            # codes are self-describing, so a representative can be rebuilt
-            object.__setattr__(
-                self, "reps", {**self.reps, atom: decode_rooted(atom.code)}
-            )
+            # codes are self-describing, so the missing representatives can be
+            # rebuilt, all over one alphabet pair so that their mark orders agree
+            alphabets = code_alphabets(a.code for a in self.atoms)
+            missing = (a for a in self.atoms if a not in self.reps)
+            decoded = {a: decode_rooted(a.code, alphabets) for a in missing}
+            object.__setattr__(self, "reps", {**self.reps, **decoded})
         return self.reps[atom]
 
     def support(self) -> list[CanonicalClass]:

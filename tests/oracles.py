@@ -2,7 +2,9 @@
 
 Nothing here shares logic with the package's canonical-code machinery: the
 isomorphism oracle is a plain backtracking search over vertex bijections and
-the BFS is written from scratch, so agreement is meaningful evidence.
+the BFS is written from scratch, so agreement is meaningful evidence.  The one
+exception is ``lp_flow_oracle``: it takes the local distance from the package
+and checks the closed form of d_LP against the general max-flow formulation.
 """
 from fractions import Fraction
 
@@ -189,3 +191,42 @@ def erdos_gallai_oracle(ell) -> bool:
         if prefix > k * (k - 1) + sum(min(d, k) for d in seq[k:]):
             return False
     return True
+
+
+def lp_flow_oracle(mu, nu) -> Fraction:
+    """d_LP by a maximum flow at every realized distance threshold.
+
+    At threshold v the worst-case excess max_A [mu(A) - nu(A^v)] is one minus
+    the maximum flow from mu's atoms to nu's atoms over the pairs within v;
+    the excess is constant on each interval [v, next v), where the feasible
+    infimum is max(v, excess), and threshold 1 admits every pair.
+    """
+    from localgraphs.canonical import profile_distance, radius_profile
+    from localgraphs.lp_distance import max_flow
+
+    mu_atoms, nu_atoms = mu.support(), nu.support()
+    profile = {a: radius_profile(mu.rep(a), a) for a in mu_atoms}
+    profile.update((b, radius_profile(nu.rep(b), b)) for b in nu_atoms if b not in profile)
+    dist = [[profile_distance(profile[a], profile[b]) for b in nu_atoms] for a in mu_atoms]
+    p, q = len(mu_atoms), len(nu_atoms)
+    s, t = p + q, p + q + 1
+
+    def excess(threshold: Fraction) -> Fraction:
+        cap = {(s, i): mu.atoms[a] for i, a in enumerate(mu_atoms)}
+        cap.update(((p + j, t), nu.atoms[b]) for j, b in enumerate(nu_atoms))
+        # capacity 2 exceeds the total mass, so it acts as infinity
+        cap.update(
+            ((i, p + j), Fraction(2))
+            for i in range(p)
+            for j in range(q)
+            if dist[i][j] <= threshold
+        )
+        return 1 - max_flow(p + q + 2, cap, s, t)
+
+    best = Fraction(1)
+    for v in sorted({Fraction(0)} | {d for row in dist for d in row}):
+        e = excess(v)
+        best = min(best, max(v, e))
+        if e <= v:
+            break
+    return best

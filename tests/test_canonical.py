@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,7 @@ from localgraphs.graphs import (
 )
 
 from oracles import isomorphic_oracle, local_distance_oracle, partition_by_isomorphism
+from test_lp import deep_rooted
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 AB1 = MarkAlphabets(("s",), ("a",))
@@ -207,6 +208,20 @@ def test_local_distance_is_a_metric_on_classes():
             assert (d[i][j] == 0) == (canonicalize(corpus[i]) == canonicalize(corpus[j]))
             for k in range(len(corpus)):
                 assert d[i][j] <= d[i][k] + d[k][j]
+
+
+def test_local_distance_is_an_ultrametric():
+    # d(a, c) <= max(d(a, b), d(b, c)); the closed form of d_LP relies on it
+    rng = random.Random(17)
+    corpus = [random_rooted(rng, max_n=7, p=0.5, ab=AB1) for _ in range(14)]
+    corpus += [deep_rooted(rng) for _ in range(14)]
+    assert any(len(r.graph.edges) >= r.n for r in corpus)  # some are cyclic
+    d = [[local_distance(a, b) for b in corpus] for a in corpus]
+    close = 0
+    for i, j, k in product(range(len(corpus)), repeat=3):
+        assert d[i][k] <= max(d[i][j], d[j][k])
+        close += 0 < d[i][k] <= max(d[i][j], d[j][k]) <= Fraction(1, 3)
+    assert close  # a, b and b, c agree to radius 1, and a, c differ somewhere
 
 
 def test_truncation_is_one_lipschitz():

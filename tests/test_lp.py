@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
-from localgraphs.canonical import local_distance
-from localgraphs.graphs import MarkAlphabets, build_graph, rooted_component
+from localgraphs.canonical import local_distance, radius_profile
+from localgraphs.graphs import MarkAlphabets, MarkedGraph, build_graph, rooted_component
 from localgraphs.lp_distance import levy_prokhorov, max_flow
 from localgraphs.measures import empirical_distribution, measure_from_pairs
-from localgraphs.verify import lp_subset_oracle
+from localgraphs.verify import lp_subset_oracle, random_bounded_tree, random_sparse_graph
+
+from oracles import lp_flow_oracle
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 
@@ -169,3 +171,41 @@ def test_matches_subset_oracle_on_deep_atoms():
             for b in nu.support()
         )
     assert deep  # some atoms first disagree at radius 3 or beyond
+
+
+def random_graph_with_atoms(rng, gen, depth):
+    """gen(rng, n), redrawn until its U(G) at the given depth has 10 to 60 atoms."""
+    while True:
+        g = gen(rng, rng.randint(15, 50))
+        if 10 <= len(empirical_distribution(g, depth).atoms) <= 60:
+            return g
+
+
+def test_matches_flow_oracle_on_empirical_measures():
+    # too many atoms for the subset oracle; the flow oracle scans every threshold
+    rng = random.Random(107)
+    clamped = 0
+    for depth in (None, 1, 2, 3):
+        for gens in [(random_sparse_graph,) * 2, (random_bounded_tree,) * 2] + [
+            (random_sparse_graph, random_bounded_tree)
+        ] * 2:
+            g, h = (random_graph_with_atoms(rng, gen, depth) for gen in gens)
+            # g plus an isolated vertex is within d_TV <= 1/(n + 1) of g;
+            # remarking vertex 0 moves whole components but few small balls
+            theta = g.alphabets.theta
+            flip = (theta[(theta.index(g.tau[0]) + 1) % len(theta)],)
+            near = [
+                MarkedGraph(g.n + 1, g.edges, g.tau + g.tau[:1], g.xi, g.alphabets),
+                MarkedGraph(g.n, g.edges, flip + g.tau[1:], g.xi, g.alphabets),
+            ]
+            mu = empirical_distribution(g, depth)
+            for nu in (empirical_distribution(x, depth) for x in [h] + near):
+                assert levy_prokhorov(mu, nu) == lp_flow_oracle(mu, nu)
+                # atoms of different eccentricity whose depth-r keys still agree,
+                # so the closed form's min(r, len(p) - 1) clamp decides the excess
+                pa = [radius_profile(mu.rep(a), a) for a in mu.support()]
+                pb = [radius_profile(nu.rep(b), b) for b in nu.support()]
+                clamped += any(
+                    len(p) < len(q) and q[len(p) - 1] == p[-1] for p in pa for q in pb
+                )
+    assert clamped

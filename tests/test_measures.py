@@ -298,6 +298,18 @@ def test_measure_text_round_trip():
         assert levy_prokhorov(mu, back) == 0
 
 
+def test_read_measure_reps_share_one_alphabet_pair():
+    # each atom's code uses some of the symbols, in its own order of
+    # appearance; the isolated vertex's code uses no edge mark at all
+    ab = MarkAlphabets(("s", "t"), ("b", "a"))
+    g = build_graph(4, {(0, 1): ("b", "a"), (1, 2): ("b", "b")}, ("t", "s", "s", "s"), ab)
+    back = read_measure(write_measure(empirical_distribution(g)))
+    assert len(back.atoms) == 4
+    assert {back.rep(a).graph.alphabets for a in back.atoms} == {
+        MarkAlphabets(("s", "t"), ("a", "b"))
+    }
+
+
 def test_read_measure_rejects_bad_header():
     with pytest.raises(ValueError):
         read_measure("atoms 3\n")
