@@ -147,18 +147,31 @@ class MarkedGraph:
         return MarkedGraph(self.n, self.edges, UNMARKED_THETA * self.n, xi, UNMARKED)
 
 
+#: Vertex pairs below this bound are built once, in ``_PAIRS``.
+_POOLED = 64
+#: _PAIRS[u][v] is (u, v): graphs share these tuples as edges and ``xi`` keys,
+#: so a program holding many small graphs keeps one copy of each pair.
+_PAIRS = tuple(tuple((u, v) for v in range(_POOLED)) for u in range(_POOLED))
+
+
+def _pair(u: int, v: int) -> tuple[int, int]:
+    return _PAIRS[u][v] if 0 <= u < _POOLED and 0 <= v < _POOLED else (u, v)
+
+
 def build_graph(n, edge_marks, tau=None, alphabets=UNMARKED):
     """Convenience constructor.
 
     ``edge_marks`` maps (u, v) -> (xi(u, v), xi(v, u)); one entry per edge, any
-    orientation.  ``tau`` defaults to the first theta symbol everywhere.
+    orientation.  ``tau`` defaults to the first theta symbol everywhere.  The
+    (u, v) tuple with u < v in ``edges`` is also that orientation's ``xi`` key.
     """
     edges = set()
     xi = {}
     for (u, v), (xuv, xvu) in edge_marks.items():
-        edges.add((min(u, v), max(u, v)))
-        xi[(u, v)] = xuv
-        xi[(v, u)] = xvu
+        uv, vu = _pair(u, v), _pair(v, u)
+        edges.add(uv if u < v else vu)
+        xi[uv] = xuv
+        xi[vu] = xvu
     if tau is None:
         tau = (alphabets.theta[0],) * n
     return MarkedGraph(n, frozenset(edges), tuple(tau), xi, alphabets)
@@ -214,8 +227,9 @@ def ball(
             b = remap.get(w)
             if b is None or b < a or (u, w) in cut:
                 continue
-            edges.append((a, b))
-            xi[(a, b)] = g.xi[(u, w)]
+            e = (a, b)
+            edges.append(e)
+            xi[e] = g.xi[(u, w)]
             xi[(b, a)] = g.xi[(w, u)]
     sub = MarkedGraph(
         len(verts), frozenset(edges), tuple(g.tau[v] for v in verts), xi, g.alphabets

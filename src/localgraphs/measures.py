@@ -13,10 +13,12 @@ from typing import Callable, Iterable
 
 from .canonical import (
     CanonicalClass,
+    NeighbourKeys,
     canonicalize,
     canonicalize_pair,
     code_alphabets,
     decode_rooted,
+    neighbour_keys,
     profile_distance,
     radius_profile,
     rooted_classes,
@@ -79,8 +81,10 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
     full depth each component is extracted once and every vertex is rooted in
     that one subgraph, which the representatives share.  A tree component of
     m vertices costs O(m^2): one rerooting pass, then an O(m) order and
-    certificate per root.  A cyclic component costs m individualization-
-    refinement searches, one per root.
+    certificate per root.  A cyclic component costs one individualization-
+    refinement search for its automorphisms, then one search per orbit of
+    roots; each search prunes the branches that automorphisms map onto
+    explored ones.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -135,11 +139,24 @@ def check_unimodular(mu: LocalMeasure) -> UnimodularityReport:
     """
     forward: dict[CanonicalClass, Fraction] = {}
     backward: dict[CanonicalClass, Fraction] = {}
+    # atoms of U(G) on one component share its graph, so the backward class of
+    # (o, v) is often another atom's forward class; mu holds every rep graph
+    # for the whole call, so id(g) names one graph throughout
+    keys: dict[int, NeighbourKeys] = {}
+    memo: dict[tuple[int, int, int], CanonicalClass] = {}
+
+    def pair_class(g: MarkedGraph, o: int, v: int) -> CanonicalClass:
+        if (id(g), o, v) not in memo:
+            if id(g) not in keys:
+                keys[id(g)] = neighbour_keys(g)
+            memo[(id(g), o, v)] = canonicalize_pair(g, o, v, keys[id(g)])
+        return memo[(id(g), o, v)]
+
     for atom, w in mu.atoms.items():
         rg = mu.rep(atom)
         for v in range(rg.n):
-            c1 = canonicalize_pair(rg.graph, rg.root, v)
-            c2 = canonicalize_pair(rg.graph, v, rg.root)
+            c1 = pair_class(rg.graph, rg.root, v)
+            c2 = pair_class(rg.graph, v, rg.root)
             forward[c1] = forward.get(c1, Fraction(0)) + w
             backward[c2] = backward.get(c2, Fraction(0)) + w
     for cls in sorted(set(forward) | set(backward)):

@@ -2,9 +2,11 @@
 
 Nothing here shares logic with the package's canonical-code machinery: the
 isomorphism oracle is a plain backtracking search over vertex bijections and
-the BFS is written from scratch, so agreement is meaningful evidence.  The one
-exception is ``lp_flow_oracle``: it takes the local distance from the package
-and checks the closed form of d_LP against the general max-flow formulation.
+the BFS is written from scratch, so agreement is meaningful evidence.  Two
+exceptions: ``lp_flow_oracle`` takes the local distance from the package and
+checks the closed form of d_LP against the general max-flow formulation, and
+``ir_certificate_oracle`` takes the certificate serialization from the package
+and checks the pruned search against the full one.
 """
 from fractions import Fraction
 
@@ -230,3 +232,39 @@ def lp_flow_oracle(mu, nu) -> Fraction:
         if e <= v:
             break
     return best
+
+
+def ir_certificate_oracle(g: MarkedGraph, roots: tuple[int, ...]) -> str:
+    """Minimal certificate over refinement-consistent orderings, by the full
+    individualization-refinement tree: no automorphism pruning, and a
+    refinement that sorts (xi(v, u), xi(u, v), colour) string triples."""
+    from localgraphs.canonical import _certificate
+
+    def refine(colors: list) -> list[int]:
+        while True:
+            sigs = []
+            for v in range(g.n):
+                neigh = sorted(
+                    (g.xi[(v, u)], g.xi[(u, v)], colors[u]) for u in g.adjacency[v]
+                )
+                sigs.append((colors[v], tuple(neigh)))
+            ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            new = [ranking[s] for s in sigs]
+            if new == colors:
+                return new
+            colors = new
+
+    def search(colors: list[int]) -> str:
+        colors = refine(colors)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            return _certificate(g, roots, sorted(range(g.n), key=lambda v: colors[v]))
+        return min(search(colors[:v] + [g.n] + colors[v + 1:]) for v in target)
+
+    # a root is labelled by its positions in roots, every other vertex by ()
+    labels = [(tuple(i for i, r in enumerate(roots) if r == v), g.tau[v]) for v in range(g.n)]
+    ranking = {s: i for i, s in enumerate(sorted(set(labels)))}
+    return search([ranking[s] for s in labels])

@@ -40,6 +40,34 @@ def test_marked_graph_validation():
         build_graph(2, {(0, 1): ("z", "a")}, ("s", "s"), AB)  # unknown mark
 
 
+def test_build_graph_keys_xi_by_its_edge_tuples():
+    rng = random.Random(41)
+    for _ in range(50):
+        n = rng.randint(2, 9)
+        # small vertex ids share prebuilt pairs, large ones do not
+        low = rng.choice((0, 60))
+        marks = {}
+        for u in range(low, low + n):
+            for v in range(u + 1, low + n):
+                if rng.random() < 0.4:
+                    key = (u, v) if rng.random() < 0.5 else (v, u)
+                    marks[key] = (rng.choice(AB.xi), rng.choice(AB.xi))
+        g = build_graph(low + n, marks, None, AB)
+        # the dict built one key per orientation, in the order given
+        expected = {}
+        for (u, v), (xuv, xvu) in marks.items():
+            expected[(u, v)] = xuv
+            expected[(v, u)] = xvu
+        assert list(g.xi.items()) == list(expected.items())
+        edges = {e: e for e in g.edges}
+        for key in g.xi:
+            if key[0] < key[1]:
+                assert key is edges[key]
+        sub = ball(g, low).graph
+        edges = {e: e for e in sub.edges}
+        assert all(key is edges[key] for key in sub.xi if key[0] < key[1])
+
+
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         MarkAlphabets((), ("a",))
