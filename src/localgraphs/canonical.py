@@ -136,10 +136,15 @@ def neighbour_keys(g: MarkedGraph) -> NeighbourKeys:
 
     A colour is at most n, so key + colour sorts as (xi(v, u), xi(u, v),
     colour) does, and refinement sorts ints instead of string triples.
+    Computed once per graph object and kept with it, as ``g.adjacency`` is.
     """
-    pairs = {(v, u): (x, g.xi[(u, v)]) for (v, u), x in g.xi.items()}
-    rank = {p: i * (g.n + 1) for i, p in enumerate(sorted(set(pairs.values())))}
-    return [[(u, rank[pairs[(v, u)]]) for u in a] for v, a in enumerate(g.adjacency)]
+    if "_neighbour_keys" not in vars(g):
+        pairs = {(v, u): (x, g.xi[(u, v)]) for (v, u), x in g.xi.items()}
+        rank = {p: i * (g.n + 1) for i, p in enumerate(sorted(set(pairs.values())))}
+        keys = [[(u, rank[pairs[(v, u)]]) for u in a] for v, a in enumerate(g.adjacency)]
+        # g is frozen: store the keys the way functools.cached_property does
+        object.__setattr__(g, "_neighbour_keys", keys)
+    return vars(g)["_neighbour_keys"]
 
 
 def _refine(keys: NeighbourKeys, colors: list[int]) -> list[int]:
@@ -172,9 +177,7 @@ def _orbits(autos: Iterable[list[int]], cell: list[int]) -> dict[int, int]:
     return {v: find(v) for v in cell}
 
 
-def _ir_certificate(
-    g: MarkedGraph, roots: tuple[int, ...], keys: NeighbourKeys
-) -> tuple[str, list[list[int]]]:
+def _ir_certificate(g: MarkedGraph, roots: tuple[int, ...]) -> tuple[str, list[list[int]]]:
     """Minimal certificate over refinement-consistent orderings, and the
     automorphisms of (g, roots) the search found, as vertex maps.
 
@@ -184,6 +187,7 @@ def _ir_certificate(
     an image of an explored subtree, so it is skipped: the minimum certificate
     cannot move (McKay & Piperno 2014).
     """
+    keys = neighbour_keys(g)
     marks = _root_marks(roots)
     init_labels = [(marks.get(v, ()), g.tau[v]) for v in range(g.n)]
     ranking = {s: i for i, s in enumerate(sorted(set(init_labels)))}
@@ -227,20 +231,14 @@ def _ir_certificate(
     return search([ranking[s] for s in init_labels], ()), autos
 
 
-def canonical_code(
-    g: MarkedGraph, roots: tuple[int, ...], keys: NeighbourKeys | None = None
-) -> bytes:
-    """Canonical code of the connected graph g with an ordered root tuple.
-
-    Callers that code one graph under many root tuples pass
-    ``keys=neighbour_keys(g)``, computed once for all of them.
-    """
+def canonical_code(g: MarkedGraph, roots: tuple[int, ...]) -> bytes:
+    """Canonical code of the connected graph g with an ordered root tuple."""
     if not g.is_connected():
         raise ValueError("graph must be connected")
     if _is_tree(g):
         cert = _certificate(g, roots, _tree_order(g, roots))
     else:
-        cert = _ir_certificate(g, roots, neighbour_keys(g) if keys is None else keys)[0]
+        cert = _ir_certificate(g, roots)[0]
     return cert.encode()
 
 
@@ -250,17 +248,16 @@ def rooted_classes(g: MarkedGraph) -> list[CanonicalClass]:
     Entry v equals ``canonicalize(RootedMarkedGraph(g, v))``; a tree shares
     one rerooting pass between its roots.  A cyclic graph runs one unrooted
     individualization-refinement search for automorphisms, then one search per
-    orbit of roots, all sharing ``neighbour_keys(g)``.
+    orbit of roots.
     """
     if not g.is_connected():
         raise ValueError("graph must be connected")
     if _is_tree(g):
         certs = (_certificate(g, (r,), order) for r, order in enumerate(_tree_orders(g)))
     else:
-        keys = neighbour_keys(g)
         # roots in one orbit of g's automorphisms share a class
-        rep = _orbits(_ir_certificate(g, (), keys)[1], list(range(g.n)))
-        by_rep = {r: _ir_certificate(g, (r,), keys)[0] for r in set(rep.values())}
+        rep = _orbits(_ir_certificate(g, ())[1], list(range(g.n)))
+        by_rep = {r: _ir_certificate(g, (r,))[0] for r in set(rep.values())}
         certs = (by_rep[rep[r]] for r in range(g.n))
     return [CanonicalClass(cert.encode()) for cert in certs]
 
@@ -275,12 +272,9 @@ def depth_classes(g: MarkedGraph, k: int) -> list[CanonicalClass]:
     return [canonicalize(ball(g, v, k)) for v in range(g.n)]
 
 
-def canonicalize_pair(
-    g: MarkedGraph, o: int, v: int, keys: NeighbourKeys | None = None
-) -> CanonicalClass:
-    """Canonical class of a connected graph with the ordered root pair (o, v);
-    ``keys`` as for ``canonical_code``."""
-    return CanonicalClass(canonical_code(g, (o, v), keys))
+def canonicalize_pair(g: MarkedGraph, o: int, v: int) -> CanonicalClass:
+    """Canonical class of a connected graph with the ordered root pair (o, v)."""
+    return CanonicalClass(canonical_code(g, (o, v)))
 
 
 def _parse_code(code: bytes):

@@ -291,7 +291,8 @@ class AlphaEstimate:
     trials: int
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    z = 1.96  # a two-sided 95 % interval
     if trials == 0:
         return (0.0, 1.0)
     p = successes / trials
@@ -382,17 +383,21 @@ def read_cds(text: str) -> ColoredDegreeSequence:
     _, n_s, k_s = lines[0].split()
     n, num_colors = int(n_s), int(k_s)
     raw_colors: dict[int, tuple[FElement, FElement]] = {}
+    conjugates: dict[int, int] = {}
     vertex_lines: dict[int, list[tuple[int, int]]] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "color":
+        if parts[0] == "color" and len(parts) == 7:
             cid = int(parts[1])
             raw_colors[cid] = (
                 (parts[2], _unhex(parts[3])),
                 (parts[4], _unhex(parts[5])),
             )
-        elif parts[0] == "v":
+            conjugates[cid] = int(parts[6])
+        elif parts[0] == "v" and len(parts) >= 2:
             vid = int(parts[1]) - 1
+            if not 0 <= vid < n:
+                raise InvalidSequence(f"vertex {parts[1]} outside 1..{n}")
             entries = []
             for item in parts[2:]:
                 cid_s, _, count_s = item.partition(":")
@@ -402,6 +407,12 @@ def read_cds(text: str) -> ColoredDegreeSequence:
             raise InvalidSequence(f"unrecognized line: {ln!r}")
     if len(raw_colors) != num_colors:
         raise InvalidSequence("color count mismatch")
+    for cid, (f1, f2) in raw_colors.items():
+        if raw_colors.get(conjugates[cid]) != (f2, f1):
+            raise InvalidSequence(f"color {cid} does not name its conjugate")
+    unknown = {cid for entries in vertex_lines.values() for cid, _ in entries} - set(raw_colors)
+    if unknown:
+        raise InvalidSequence(f"unknown color ids {sorted(unknown)}")
     f_elements = tuple(sorted({f for pair in raw_colors.values() for f in pair}))
     colors = ColorSet(f_elements)
     id_to_color = {

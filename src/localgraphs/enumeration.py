@@ -170,12 +170,10 @@ def enumerate_marked(
     return EnumerationResult(f"barG(ell={ell.ell})_(m,u)", factory)
 
 
-def enumerate_marked_counts(
-    n: int, cv: CountVectors, cap: int = DEFAULT_VERTEX_CAP
-) -> EnumerationResult:
+def enumerate_marked_counts(n: int, cv: CountVectors) -> EnumerationResult:
     """All marked graphs on [n] with the given count vectors (any degrees)."""
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds cap {cap}")
+    if n > DEFAULT_VERTEX_CAP:
+        raise CapExceeded(f"n={n} exceeds cap {DEFAULT_VERTEX_CAP}")
     if cv.u_norm != n:
         return EnumerationResult("empty (||u|| != n)", lambda: iter(()))
 
@@ -195,9 +193,9 @@ def type_class_size(counts: list[int]) -> int:
     return out
 
 
-def marked_class_size_formula(ell: DegreeSequence, cv: CountVectors, cap: int = DEFAULT_VERTEX_CAP) -> int:
+def marked_class_size_formula(ell: DegreeSequence, cv: CountVectors) -> int:
     """|G(ell)| * |T(u)| * |T(m)| * 2^(off-diagonal edges), the product form."""
-    g_count = enumerate_graphs(ell, cap).count
+    g_count = enumerate_graphs(ell).count
     t_u = type_class_size(sorted(cv.u.values()))
     t_m = type_class_size(sorted(cv.m_leq.values()))
     return g_count * t_u * t_m * 2 ** cv.off_diagonal_total
@@ -217,7 +215,6 @@ def count_ball_restricted(
     mu: LocalMeasure,
     eps: Fraction,
     degree_law: dict[int, Fraction] | None = None,
-    cap: int = DEFAULT_VERTEX_CAP,
 ) -> int:
     """Members of the (m, u) class with d_LP(U(G), mu) < eps, exactly.
 
@@ -227,7 +224,7 @@ def count_ball_restricted(
     from .lp_distance import levy_prokhorov
 
     total = 0
-    for g in enumerate_marked_counts(n, cv, cap):
+    for g in enumerate_marked_counts(n, cv):
         if degree_law is not None and degree_law_of(g) != degree_law:
             continue
         if levy_prokhorov(empirical_distribution(g), mu) < eps:
@@ -241,21 +238,20 @@ def finite_entropy_estimate(
     mu: LocalMeasure,
     eps: Fraction,
     degree_law: dict[int, Fraction] | None = None,
-    cap: int = DEFAULT_VERTEX_CAP,
 ) -> float:
     """(log count - ||m|| log n) / n, the n-th term of the entropy limsup."""
-    count = count_ball_restricted(n, cv, mu, eps, degree_law, cap)
+    count = count_ball_restricted(n, cv, mu, eps, degree_law)
     if count == 0:
         return float("-inf")
     return (math.log(count) - cv.m_norm * math.log(n)) / n
 
 
-def count_Nk(gamma_ref: MarkedGraph, cv: CountVectors, k: int, cap: int = DEFAULT_VERTEX_CAP) -> int:
+def count_Nk(gamma_ref: MarkedGraph, cv: CountVectors, k: int) -> int:
     """Members of the (m, u) class whose depth-k empirical law, read off
     depth-k balls, matches gamma_ref's."""
     ref = empirical_distribution(gamma_ref, depth=k)
     total = 0
-    for g in enumerate_marked_counts(gamma_ref.n, cv, cap):
+    for g in enumerate_marked_counts(gamma_ref.n, cv):
         if empirical_distribution(g, depth=k) == ref:
             total += 1
     return total

@@ -97,19 +97,7 @@ class MarkedGraph:
 
     def component(self, v: int) -> list[int]:
         """Vertices of the connected component of v, in BFS order."""
-        seen = {v}
-        order = [v]
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in self.adjacency[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        order.append(w)
-                        nxt.append(w)
-            frontier = nxt
-        return order
+        return list(self.bfs_layers(v))
 
     @cached_property
     def _connected(self) -> bool:
@@ -325,18 +313,24 @@ def write_graph(g: MarkedGraph) -> str:
 
 def read_graph(text: str, alphabets: MarkAlphabets | None = None) -> MarkedGraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("graph "):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "graph":
         raise ValueError("missing 'graph <n>' header")
-    n = int(lines[0].split()[1])
+    n = int(header[1])
     tau: dict[int, str] = {}
     edge_marks = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "v":
-            tau[int(parts[1]) - 1] = parts[2]
-        elif parts[0] == "e":
+        if parts[0] == "v" and len(parts) == 3:
+            if tau.setdefault(int(parts[1]) - 1, parts[2]) != parts[2]:
+                raise ValueError(f"vertex {parts[1]} is given two different marks")
+        elif parts[0] == "e" and len(parts) == 5:
             u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            edge_marks[(u, v)] = (parts[3], parts[4])
+            marks = (parts[3], parts[4])
+            known = edge_marks.get((u, v)) or edge_marks.get((v, u), ())[::-1]
+            if known and known != marks:
+                raise ValueError(f"edge {parts[1]} {parts[2]} is given two different marks")
+            edge_marks[(u, v)] = marks
         else:
             raise ValueError(f"unrecognized line: {ln!r}")
     if sorted(tau) != list(range(n)):

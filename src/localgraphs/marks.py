@@ -1,9 +1,10 @@
-"""Mark count vectors and i.i.d. mark distributions."""
+"""Mark count vectors, i.i.d. mark distributions, and the ``key=value`` reader
+of the config files that give them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import MarkAlphabets, MarkedGraph
 
@@ -117,4 +118,33 @@ def fold_leq(law: Mapping, order: Sequence[str]) -> dict:
     for (x, xp), v in law.items():
         key = (x, xp) if rank(x) <= rank(xp) else (xp, x)
         out[key] = out.get(key, 0) + v
+    return out
+
+
+# --- key=value config files -------------------------------------------------
+
+
+def read_key_values(
+    lines: Iterable[str], required: Sequence[str], error: type[Exception]
+) -> dict[str, str]:
+    """The ``key=value`` lines of a config file, past blank lines and ``#``
+    comments; raises ``error`` naming the required keys that are missing."""
+    raw = {}
+    for line in lines:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            raw[key.strip()] = value.strip()
+    missing = [k for k in required if k not in raw]
+    if missing:
+        raise error(f"missing keys: {', '.join(missing)}")
+    return raw
+
+
+def parse_law(text: str) -> dict[str, Fraction]:
+    """A ``symbol:weight,...`` law with exact weights; blank text is empty."""
+    out = {}
+    for item in text.split(",") if text.strip() else ():
+        k, _, v = item.partition(":")
+        out[k.strip()] = Fraction(v.strip())
     return out

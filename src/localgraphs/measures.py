@@ -13,12 +13,10 @@ from typing import Callable, Iterable
 
 from .canonical import (
     CanonicalClass,
-    NeighbourKeys,
     canonicalize,
     canonicalize_pair,
     code_alphabets,
     decode_rooted,
-    neighbour_keys,
     profile_distance,
     radius_profile,
     rooted_classes,
@@ -142,14 +140,11 @@ def check_unimodular(mu: LocalMeasure) -> UnimodularityReport:
     # atoms of U(G) on one component share its graph, so the backward class of
     # (o, v) is often another atom's forward class; mu holds every rep graph
     # for the whole call, so id(g) names one graph throughout
-    keys: dict[int, NeighbourKeys] = {}
     memo: dict[tuple[int, int, int], CanonicalClass] = {}
 
     def pair_class(g: MarkedGraph, o: int, v: int) -> CanonicalClass:
         if (id(g), o, v) not in memo:
-            if id(g) not in keys:
-                keys[id(g)] = neighbour_keys(g)
-            memo[(id(g), o, v)] = canonicalize_pair(g, o, v, keys[id(g)])
+            memo[(id(g), o, v)] = canonicalize_pair(g, o, v)
         return memo[(id(g), o, v)]
 
     for atom, w in mu.atoms.items():
@@ -232,13 +227,14 @@ def write_measure(mu: LocalMeasure) -> str:
 
 def read_measure(text: str) -> LocalMeasure:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("measure "):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "measure":
         raise ValueError("missing 'measure <atom-count>' header")
-    count = int(lines[0].split()[1])
+    count = int(header[1])
     atoms: dict[CanonicalClass, Fraction] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] != "atom":
+        if parts[0] != "atom" or len(parts) != 3:
             raise ValueError(f"unrecognized line: {ln!r}")
         num, den = parts[1].split("/")
         atoms[CanonicalClass.from_hex(parts[2])] = Fraction(int(num), int(den))

@@ -14,10 +14,12 @@ from fractions import Fraction
 from typing import Sequence, TextIO
 
 from .errors import InvalidSequence, RangeViolation
-from .marks import chi2_leq, fold_leq
+from .marks import chi2_leq, fold_leq, parse_law, read_key_values
 from .measures import LocalMeasure, project_unmarked, truncate_measure
 
 INF = float("inf")
+#: Largest final-term deviation ``check_adapted`` accepts for a limit condition.
+ADAPTED_TOL = 1e-3
 
 
 def shannon_entropy(q) -> float:
@@ -231,16 +233,11 @@ class AdaptedReport:
         return all(self.conditions.values())
 
 
-def check_adapted(
-    sequence: list,
-    dvec: AverageDegreeVector,
-    Q: dict,
-    tol: float = 1e-3,
-) -> AdaptedReport:
+def check_adapted(sequence: list, dvec: AverageDegreeVector, Q: dict) -> AdaptedReport:
     """Diagnose a finite prefix of (n, count-vector) pairs against (d, Q).
 
     Conditions on counts hold exactly for every term; the limit conditions are
-    checked as final-term deviations within tol.
+    checked as final-term deviations within ADAPTED_TOL.
     """
     if not sequence:
         raise ValueError("empty sequence")
@@ -269,7 +266,7 @@ def check_adapted(
         dev = abs(cv.u.get(t, 0) / n - float(Q.get(t, 0)))
         deviations[4] = max(deviations[4], dev)
     for idx in (2, 3, 4):
-        if deviations[idx] > tol:
+        if deviations[idx] > ADAPTED_TOL:
             conditions[idx] = False
     return AdaptedReport(conditions, deviations)
 
@@ -279,16 +276,6 @@ def check_adapted(
 
 def _format_law(law: dict) -> str:
     return ",".join(f"{k}:{law[k]}" for k in sorted(law))
-
-
-def _parse_law(text: str, key_type=str) -> dict:
-    out = {}
-    if not text.strip():
-        return out
-    for piece in text.split(","):
-        k, _, v = piece.partition(":")
-        out[key_type(k.strip())] = Fraction(v.strip())
-    return out
 
 
 def write_rate_inputs(
@@ -315,27 +302,18 @@ def write_rate_inputs(
 
 
 def read_rate_inputs(fh: TextIO) -> dict:
-    raw = {}
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
     required = ["P", "Q", "vartheta", "chi", "d", "Sigma", "Sigma.provenance", "J1", "J1.provenance"]
-    missing = [k for k in required if k not in raw]
-    if missing:
-        raise InvalidSequence(f"missing keys: {', '.join(missing)}")
+    raw = read_key_values(fh, required, InvalidSequence)
     dmap = {}
     for piece in raw["d"].split(","):
         k, _, v = piece.partition(":")
         x, _, xp = k.strip().partition(".")
         dmap[(x, xp)] = Fraction(v.strip())
     return {
-        "P": _parse_law(raw["P"], int),
-        "Q": _parse_law(raw["Q"]),
-        "vartheta": _parse_law(raw["vartheta"]),
-        "chi": _parse_law(raw["chi"]),
+        "P": {int(k): w for k, w in parse_law(raw["P"]).items()},
+        "Q": parse_law(raw["Q"]),
+        "vartheta": parse_law(raw["vartheta"]),
+        "chi": parse_law(raw["chi"]),
         "dvec": AverageDegreeVector(dmap),
         "sigma": TaggedValue(float(raw["Sigma"]), raw["Sigma.provenance"]),
         "j1": TaggedValue(float(raw["J1"]), raw["J1.provenance"]),

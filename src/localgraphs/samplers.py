@@ -15,7 +15,7 @@ from .colored import filtered_pairings
 from .enumeration import enumerate_graphs, type_class_size
 from .errors import AttemptsExhausted, CountMismatch
 from .graphs import DegreeSequence, MarkAlphabets, MarkedGraph, build_graph
-from .marks import CountVectors, ModelParams, chi2_leq, count_vectors_of
+from .marks import CountVectors, ModelParams, chi2_leq, count_vectors_of, parse_law, read_key_values
 
 DEFAULT_MAX_ATTEMPTS = 10**6
 
@@ -45,14 +45,9 @@ def _weighted_choice(rng: random.Random, dist: dict[str, Fraction]) -> str:
     return symbols[-1]
 
 
-def sample_iid_marked(
-    ell: DegreeSequence,
-    params: ModelParams,
-    rng: random.Random,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> MarkedGraph:
+def sample_iid_marked(ell: DegreeSequence, params: ModelParams, rng: random.Random) -> MarkedGraph:
     """Uniform graph with independent vertex and oriented-edge marks."""
-    base = sample_uniform_graph(ell, rng, max_attempts)
+    base = sample_uniform_graph(ell, rng)
     ab = params.alphabets
     tau = tuple(_weighted_choice(rng, params.vartheta) for _ in range(ell.n))
     marks = {}
@@ -64,12 +59,7 @@ def sample_iid_marked(
     return build_graph(ell.n, marks, tau, ab)
 
 
-def sample_uniform_marked(
-    ell: DegreeSequence,
-    cv: CountVectors,
-    rng: random.Random,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> MarkedGraph:
+def sample_uniform_marked(ell: DegreeSequence, cv: CountVectors, rng: random.Random) -> MarkedGraph:
     """Uniform element of the marked class with degrees ell and counts (m, u).
 
     Uniform graph x uniform permutation of the vertex-mark multiset x uniform
@@ -80,7 +70,7 @@ def sample_uniform_marked(
         raise CountMismatch(f"||u|| = {cv.u_norm} but n = {ell.n}")
     if cv.m_norm != ell.edge_count:
         raise CountMismatch(f"||m|| = {cv.m_norm} but edge count = {ell.edge_count}")
-    base = sample_uniform_graph(ell, rng, max_attempts)
+    base = sample_uniform_graph(ell, rng)
     ab = cv.alphabets
     tau = [t for t in ab.theta for _ in range(cv.u.get(t, 0))]
     rng.shuffle(tau)
@@ -110,16 +100,8 @@ class SamplerConfig:
 
 
 def read_sampler_config(text: str) -> SamplerConfig:
-    raw = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
-    missing = [k for k in ("degrees", "theta", "xi", "vartheta", "chi", "seed") if k not in raw]
-    if missing:
-        raise ValueError(f"missing keys: {', '.join(missing)}")
+    required = ("degrees", "theta", "xi", "vartheta", "chi", "seed")
+    raw = read_key_values(text.splitlines(), required, ValueError)
     deg_spec = raw["degrees"]
     if deg_spec.startswith("@"):
         with open(deg_spec[1:]) as fh:
@@ -127,15 +109,7 @@ def read_sampler_config(text: str) -> SamplerConfig:
     else:
         ell = DegreeSequence(tuple(int(x) for x in deg_spec.split(",")))
     ab = MarkAlphabets(tuple(raw["theta"].split(",")), tuple(raw["xi"].split(",")))
-
-    def law(text: str) -> dict[str, Fraction]:
-        out = {}
-        for item in text.split(","):
-            k, _, v = item.partition(":")
-            out[k.strip()] = Fraction(v.strip())
-        return out
-
-    params = ModelParams(ab, law(raw["vartheta"]), law(raw["chi"]))
+    params = ModelParams(ab, parse_law(raw["vartheta"]), parse_law(raw["chi"]))
     return SamplerConfig(ell, params, int(raw["seed"]), int(raw.get("trials", "1")))
 
 
@@ -169,11 +143,7 @@ def model_probability(g: MarkedGraph, params: ModelParams, num_graphs: int) -> F
     return p
 
 
-def mixture_identity_check(
-    ell: DegreeSequence,
-    params: ModelParams,
-    cap: int = 8,
-) -> MixtureReport:
+def mixture_identity_check(ell: DegreeSequence, params: ModelParams) -> MixtureReport:
     """Exact mixture decomposition check over every marked outcome.
 
     For each marked graph G in the enumerated space, the model probability
@@ -182,7 +152,7 @@ def mixture_identity_check(
     hitting the edge-mark and vertex-mark empirical measures of G.
     """
     ab = params.alphabets
-    graphs = list(enumerate_graphs(ell, cap))
+    graphs = list(enumerate_graphs(ell))
     num_graphs = len(graphs)
     chi2 = chi2_leq(params.chi, ab.xi)
     total = Fraction(0)

@@ -69,6 +69,15 @@ from .transport import (
 )
 
 AB2 = MarkAlphabets(("s", "t"), ("a", "b"))
+#: Suite sizes; with the fixed seeds they make each criterion's batch the same
+#: on every run, so a criterion's detail string is reproducible.
+UNIFORMITY_TRIALS = 100_000
+LP_ORACLE_PAIRS = 200
+UNIMODULARITY_GRAPHS = 500
+RECONSTRUCTION_PAIRS = 50
+TRANSPORT_INSTANCES = 1000
+SURGERY_N = 200
+ALPHA_TRIALS = 10_000
 
 
 @dataclass
@@ -189,25 +198,25 @@ def _within_four_se(counts: dict, trials: int, k: int) -> tuple[bool, float]:
     return len(counts) == k and worst < 4 * se, worst / se
 
 
-def suite_uniformity(trials: int = 100_000) -> CriterionResult:
+def suite_uniformity() -> CriterionResult:
     t0 = time.monotonic()
     rng = random.Random(20240)
     ell = DegreeSequence((1, 1, 1, 1))
     counts: dict = {}
-    for _ in range(trials):
+    for _ in range(UNIFORMITY_TRIALS):
         g = sample_uniform_graph(ell, rng)
         key = tuple(sorted(g.edges))
         counts[key] = counts.get(key, 0) + 1
-    ok1, dev1 = _within_four_se(counts, trials, 3)
+    ok1, dev1 = _within_four_se(counts, UNIFORMITY_TRIALS, 3)
 
     cv = _cv(AB2, {"s": 1, "t": 1}, {("a", "a"): 0, ("a", "b"): 1, ("b", "b"): 0})
     ell2 = DegreeSequence((1, 1))
     marked_counts: dict = {}
-    for _ in range(trials):
+    for _ in range(UNIFORMITY_TRIALS):
         g = sample_uniform_marked(ell2, cv, rng)
         key = (g.tau, tuple(sorted(g.xi.items())))
         marked_counts[key] = marked_counts.get(key, 0) + 1
-    ok2, dev2 = _within_four_se(marked_counts, trials, 4)
+    ok2, dev2 = _within_four_se(marked_counts, UNIFORMITY_TRIALS, 4)
     detail = (
         f"plain: {len(counts)} outcomes, worst {dev1:.2f} se; "
         f"marked: {len(marked_counts)} outcomes, worst {dev2:.2f} se"
@@ -275,8 +284,8 @@ def random_rooted(rng: random.Random, max_n: int = 5) -> RootedMarkedGraph:
     return rooted_component(g, rng.randrange(n))
 
 
-def random_measure(rng: random.Random, max_support: int = 4) -> LocalMeasure:
-    size = rng.randint(1, max_support)
+def random_measure(rng: random.Random) -> LocalMeasure:
+    size = rng.randint(1, 4)
     pairs = []
     weights = [Fraction(rng.randint(1, 9)) for _ in range(size)]
     total = sum(weights)
@@ -285,11 +294,11 @@ def random_measure(rng: random.Random, max_support: int = 4) -> LocalMeasure:
     return measure_from_pairs(pairs)
 
 
-def suite_lp_oracle(pairs: int = 200) -> CriterionResult:
+def suite_lp_oracle() -> CriterionResult:
     t0 = time.monotonic()
     rng = random.Random(411)
     mismatches = 0
-    for _ in range(pairs):
+    for _ in range(LP_ORACLE_PAIRS):
         mu = random_measure(rng)
         nu = random_measure(rng)
         if levy_prokhorov(mu, nu) != lp_subset_oracle(mu, nu):
@@ -298,7 +307,7 @@ def suite_lp_oracle(pairs: int = 200) -> CriterionResult:
         4,
         "LP metric equals subset oracle",
         mismatches == 0,
-        f"{pairs} pairs, {mismatches} mismatches",
+        f"{LP_ORACLE_PAIRS} pairs, {mismatches} mismatches",
         time.monotonic() - t0,
     )
 
@@ -318,11 +327,11 @@ def random_sparse_graph(rng: random.Random, n: int) -> MarkedGraph:
     return build_graph(n, marks, tau, AB2)
 
 
-def suite_unimodularity(graphs: int = 500) -> CriterionResult:
+def suite_unimodularity() -> CriterionResult:
     t0 = time.monotonic()
     rng = random.Random(977)
     bad = 0
-    for _ in range(graphs):
+    for _ in range(UNIMODULARITY_GRAPHS):
         g = random_sparse_graph(rng, rng.randint(2, 30))
         if not check_unimodular(empirical_distribution(g)).holds:
             bad += 1
@@ -332,14 +341,18 @@ def suite_unimodularity(graphs: int = 500) -> CriterionResult:
     report = check_unimodular(point)
     crafted_ok = (not report.holds) and report.witness is not None
     ok = bad == 0 and crafted_ok
-    detail = f"{graphs} random graphs, {bad} failures; crafted witness found: {crafted_ok}"
+    detail = (
+        f"{UNIMODULARITY_GRAPHS} random graphs, {bad} failures; "
+        f"crafted witness found: {crafted_ok}"
+    )
     return CriterionResult(5, "unimodularity of U(G)", ok, detail, time.monotonic() - t0)
 
 
 # --- 6: reconstruction from colored samples ---------------------------------
 
 
-def random_bounded_tree(rng: random.Random, n: int, max_degree: int = 3) -> MarkedGraph:
+def random_bounded_tree(rng: random.Random, n: int) -> MarkedGraph:
+    """Random tree on n vertices, marked over AB2, with degrees at most 3."""
     marks = {}
     degree = [0] * n
     available = [0]
@@ -348,18 +361,18 @@ def random_bounded_tree(rng: random.Random, n: int, max_degree: int = 3) -> Mark
         marks[(u, v)] = (rng.choice(AB2.xi), rng.choice(AB2.xi))
         degree[u] += 1
         degree[v] += 1
-        if degree[u] >= max_degree:
+        if degree[u] >= 3:
             available.remove(u)
         available.append(v)
     tau = tuple(rng.choice(AB2.theta) for _ in range(n))
     return build_graph(n, marks, tau, AB2)
 
 
-def suite_reconstruction(pairs: int = 50) -> CriterionResult:
+def suite_reconstruction() -> CriterionResult:
     t0 = time.monotonic()
     rng = random.Random(6021)
     failures = 0
-    for trial in range(pairs):
+    for trial in range(RECONSTRUCTION_PAIRS):
         k = 1 + trial % 2
         n = rng.randint(40, 120) if k == 2 else rng.randint(60, 300)
         g = random_bounded_tree(rng, n)
@@ -373,7 +386,7 @@ def suite_reconstruction(pairs: int = 50) -> CriterionResult:
         6,
         "depth-k class reconstruction",
         failures == 0,
-        f"{pairs} pairs, {failures} failures",
+        f"{RECONSTRUCTION_PAIRS} pairs, {failures} failures",
         time.monotonic() - t0,
     )
 
@@ -425,11 +438,11 @@ def _perturb_target(rng: random.Random, deg: tuple[int, ...], s: int, M: int) ->
     return TargetDegrees(tuple(beta), max(max(beta), M))
 
 
-def suite_transport(instances: int = 1000) -> CriterionResult:
+def suite_transport() -> CriterionResult:
     t0 = time.monotonic()
     rng = random.Random(7301)
     failures = 0
-    for i in range(instances):
+    for i in range(TRANSPORT_INSTANCES):
         case = i % 3
         n = rng.randint(6, 30)
         L = rng.randint(1, 4)
@@ -458,30 +471,33 @@ def suite_transport(instances: int = 1000) -> CriterionResult:
         and out.max_entry() <= 4
     )
     ok = failures == 0 and example_ok
-    detail = f"{instances} instances, {failures} failures; worked example ok: {example_ok}"
+    detail = (
+        f"{TRANSPORT_INSTANCES} instances, {failures} failures; "
+        f"worked example ok: {example_ok}"
+    )
     return CriterionResult(7, "transport postconditions", ok, detail, time.monotonic() - t0)
 
 
 # --- 8: surgery pipeline ----------------------------------------------------
 
 
-def suite_surgery(n: int = 200) -> CriterionResult:
+def suite_surgery() -> CriterionResult:
     t0 = time.monotonic()
     rng = random.Random(88)
-    gamma = random_bounded_tree(rng, n)
+    gamma = random_bounded_tree(rng, SURGERY_N)
     ell = list(gamma.degrees())
-    leaf = next(v for v in range(n) if ell[v] == 1)
+    leaf = next(v for v in range(SURGERY_N) if ell[v] == 1)
     ell[leaf] = 3  # raise one leaf's target degree; total stays even
     rebuilt, report = modify_graph(gamma, DegreeSequence(tuple(ell)), 1, rng)
     lp = levy_prokhorov(
         empirical_distribution(rebuilt, depth=1),
         empirical_distribution(gamma, depth=1),
     )
-    displacement_ok = lp <= Fraction(report.modified_vertices, n)
+    displacement_ok = lp <= Fraction(report.modified_vertices, SURGERY_N)
     within_bound = report.modified_vertices <= report.propagated_bound
     ok = report.degree_exact and displacement_ok and within_bound
     detail = (
-        f"modified {report.modified_vertices}/{n} (bound {report.propagated_bound}), "
+        f"modified {report.modified_vertices}/{SURGERY_N} (bound {report.propagated_bound}), "
         f"transport changed {report.transport_changed}, d_LP {lp}, "
         f"attempts {report.attempts}"
     )
@@ -502,12 +518,12 @@ def _alpha_profile(n: int) -> ColoredDegreeSequence:
     return ColoredDegreeSequence.from_maps(colors, maps)
 
 
-def suite_alpha(trials: int = 10_000) -> CriterionResult:
+def suite_alpha() -> CriterionResult:
     t0 = time.monotonic()
     rng = random.Random(933)
     estimates = []
     for n in (200, 400, 800):
-        estimates.append(estimate_alpha_h(_alpha_profile(n), 3, trials, rng))
+        estimates.append(estimate_alpha_h(_alpha_profile(n), 3, ALPHA_TRIALS, rng))
     positive = all(e.estimate > 0 for e in estimates)
     overlap = all(
         max(a.low, b.low) <= min(a.high, b.high)

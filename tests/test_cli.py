@@ -1,3 +1,5 @@
+import pytest
+
 from localgraphs.cli import main
 from localgraphs.graphs import MarkAlphabets, read_graph
 from localgraphs.measures import empirical_distribution, write_measure
@@ -190,3 +192,32 @@ def test_sample_from_config_file(tmp_path, capsys):
     code, out, _ = run(capsys, "sample", "--config", str(cfg))
     assert code == 0
     assert out.count("graph ") == 3
+
+
+# one malformed record per case, each in an otherwise valid file
+MALFORMED = {
+    "graph_header_without_count": ("graph", "graph \nv 1 s\n"),
+    "vertex_without_mark": ("graph", "graph 2\nv 1 s\nv 2\ne 1 2 a a\n"),
+    "vertex_with_two_marks": ("graph", "graph 2\nv 1 s\nv 2 s\nv 1 t\ne 1 2 a a\n"),
+    "edge_with_two_marks": ("graph", "graph 2\nv 1 s\nv 2 s\ne 1 2 x y\ne 2 1 x x\n"),
+    "measure_header_without_count": ("measure", "measure \natom 1/1 00\n"),
+    "atom_without_code": ("measure", "measure 1\natom 1/1\n"),
+    "unknown_color": ("cds", "cds 2 1\ncolor 1 a - a - 1\nv 1 2:1\nv 2 1:1\n"),
+    "vertex_out_of_range": ("cds", "cds 2 1\ncolor 1 a - a - 1\nv 1 1:1\nv 2 1:1\nv 7 1:2\n"),
+    "color_without_conjugate": ("cds", "cds 2 1\ncolor 1 a - a -\nv 1 1:1\nv 2 1:1\n"),
+}
+
+
+@pytest.mark.parametrize("kind,text", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_record_is_a_format_error(tmp_path, capsys, kind, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    p = str(path)
+    argv = {
+        "graph": ("surgery", "--graph", p, "--degrees", "1,1", "--k", "1", "--seed", "1"),
+        "measure": ("distance", p, p),
+        "cds": ("cm", "--cds", p, "--seed", "1"),
+    }[kind]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
