@@ -124,8 +124,10 @@ class ColoredDegreeSequence:
 
     def column_sums(self) -> dict[Color, int]:
         s: dict[Color, int] = {}
-        for row in self.degrees:
+        for v, row in enumerate(self.degrees):
             for c, k in row:
+                if k < 0:
+                    raise InvalidSequence(f"vertex {v + 1} has negative count {k} of color {c}")
                 s[c] = s.get(c, 0) + k
         return s
 
@@ -389,6 +391,8 @@ def read_cds(text: str) -> ColoredDegreeSequence:
         parts = ln.split()
         if parts[0] == "color" and len(parts) == 7:
             cid = int(parts[1])
+            if cid in raw_colors:
+                raise InvalidSequence(f"repeated color id: {ln!r}")
             raw_colors[cid] = (
                 (parts[2], _unhex(parts[3])),
                 (parts[4], _unhex(parts[5])),
@@ -398,10 +402,14 @@ def read_cds(text: str) -> ColoredDegreeSequence:
             vid = int(parts[1]) - 1
             if not 0 <= vid < n:
                 raise InvalidSequence(f"vertex {parts[1]} outside 1..{n}")
+            if vid in vertex_lines:
+                raise InvalidSequence(f"repeated vertex id: {ln!r}")
             entries = []
             for item in parts[2:]:
                 cid_s, _, count_s = item.partition(":")
                 entries.append((int(cid_s), int(count_s)))
+            if len(dict(entries)) < len(entries):
+                raise InvalidSequence(f"repeated color within a vertex: {ln!r}")
             vertex_lines[vid] = entries
         else:
             raise InvalidSequence(f"unrecognized line: {ln!r}")

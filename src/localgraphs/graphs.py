@@ -222,6 +222,9 @@ def ball(
     sub = MarkedGraph(
         len(verts), frozenset(edges), tuple(g.tau[v] for v in verts), xi, g.alphabets
     )
+    # the search reached every vertex without crossing uv, so sub is connected;
+    # filling the cached_property's slot spares RootedMarkedGraph a second BFS
+    sub.__dict__["_connected"] = True
     return RootedMarkedGraph(sub, remap[root])
 
 

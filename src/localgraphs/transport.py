@@ -1,16 +1,25 @@
-"""Mass transport on colored-degree matrices.
+"""Mass transport on colored degrees.
 
-A (p+2m) x n nonnegative integer matrix whose first p rows have even sums and
-whose remaining rows pair up with equal sums encodes a colored degree
-sequence.  The transport algorithm rewrites such a matrix so its column sums
-match a prescribed target vector while touching few columns: a bounded number
+A colored degree sequence is a matrix with one column per vertex and one row
+per colour: p diagonal-colour rows with even sums, then m conjugate pairs of
+rows with equal sums.  The transport rewrites it so its column sums match a
+prescribed target vector while touching few columns: a bounded number
 depending only on the entry bounds L and M and on how many columns already
 disagree, never on n.
+
+The matrix is held by column, as each vertex's (colour, count) row.  Cost:
+one O(nnz) pass finds the row sums, each colour's positive columns, the max
+entry and the mismatch set I, and ends the work when I is empty.  After it,
+each row block reads only the columns of I and the few columns it draws mass
+from, so the rest costs O(|I|) per block plus the touched columns, never a
+scan of all n.  ``DegreeMatrix`` is the dense file format of the
+``transport`` subcommand, which ``transport_general`` feeds to the same
+algorithm.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Callable, Hashable, Iterable, Sequence, TextIO
 
 from .colored import Color, ColorSet, ColoredDegreeSequence
 from .errors import Infeasible, InvalidSequence, LocalGraphsError
@@ -90,197 +99,168 @@ def changed_columns(A: DegreeMatrix, B: DegreeMatrix) -> int:
     )
 
 
+def _change_bound(blocks: int, L: int, M: int, s: int) -> int:
+    return blocks * ((2 * L + M) * (s + 1) + s + 2)
+
+
 def change_bound(A: DegreeMatrix, beta: TargetDegrees) -> int:
     """Worst-case number of columns the transport may touch."""
-    L = A.max_entry()
-    M = beta.bound
-    s = len(mismatch_columns(A, beta))
-    return (A.p + A.m) * ((2 * L + M) * (s + 1) + s + 2)
+    return _change_bound(A.p + A.m, A.max_entry(), beta.bound, len(mismatch_columns(A, beta)))
 
 
-def transport_case_p1(A: DegreeMatrix, beta: TargetDegrees) -> DegreeMatrix:
-    """Single even-sum row: the row is its own column-degree vector."""
-    if A.p != 1 or A.m != 0:
-        raise InvalidSequence("expected p=1, m=0")
-    if len(beta.beta) != A.n:
-        raise InvalidSequence("target length mismatch")
-    return DegreeMatrix(1, 0, (beta.beta,))
+Row = tuple[tuple[Hashable, int], ...]
 
 
-def _swap_columns(rows: list[list[int]], j: int, k: int):
-    for row in rows:
-        row[j], row[k] = row[k], row[j]
+def _transport(
+    rows: Sequence[Row], beta: TargetDegrees, blocks_of: Callable[[Iterable], list[tuple]]
+) -> tuple[dict[int, Row], int]:
+    """Rewrite the columns ``rows`` so column v sums to beta[v].
+
+    ``blocks_of`` maps the colours with a positive entry to the solver's rows:
+    a 1-tuple per diagonal colour, then (c, conj c) per conjugate pair.  Block
+    0 takes what the mismatch set I needs; every other block keeps its column
+    sums outside I, less one unit at its first positive column outside I when
+    its mass on I is odd.  Returns the sorted, zero-free rows of the columns
+    that changed, and the bound on how many may change.
+    """
+    sums: dict = {}
+    support: dict = {}  # colour -> ascending columns where it is positive
+    L = 0
+    I = []
+    for v, row in enumerate(rows):
+        deg = 0
+        for c, k in row:
+            if k:
+                sums[c] = sums.get(c, 0) + k
+                support.setdefault(c, []).append(v)
+                deg += k
+                if k > L:
+                    L = k
+        if deg != beta.beta[v]:
+            I.append(v)
+    blocks = blocks_of(sums)
+    bound = _change_bound(len(blocks), L, beta.bound, len(I))
+    if not I:
+        return {}, bound
+    if not blocks:
+        raise Infeasible("no colour can carry the target degrees")
+    cache: dict[int, dict] = {}
+
+    def at(v: int) -> dict:
+        if v not in cache:
+            cache[v] = dict(rows[v])
+        return cache[v]
+
+    def block_sum(block: tuple, v: int) -> int:
+        return sum(at(v).get(c, 0) for c in block)
+
+    # each target is the block's own column sums, overridden on a few columns
+    targets = [{v: beta.beta[v] for v in I}]
+    for block in blocks[1:]:
+        tgt = dict.fromkeys(I, 0)
+        if sum(block_sum(block, v) for v in I) % 2:
+            # the block's total is even, so its mass outside I is odd and the
+            # parity fix always finds a positive column there
+            firsts = (next((v for v in support.get(c, ()) if v not in tgt), None) for c in block)
+            j = min(v for v in firsts if v is not None)
+            tgt[j] = block_sum(block, j) - 1
+            targets[0][j] = targets[0].get(j, block_sum(blocks[0], j)) + 1
+        targets.append(tgt)
+
+    out: dict[int, dict] = {}
+    for block, tgt in zip(blocks, targets):
+        moved = {v: t for v, t in tgt.items() if t != block_sum(block, v)}
+        if len(block) == 2 and moved:
+            total = sum(sums.get(c, 0) for c in block) + sum(
+                t - block_sum(block, v) for v, t in tgt.items()
+            )
+            moved = _pair(block, moved, total, len(rows), sums, support, at)
+        else:
+            moved = {v: (t,) for v, t in moved.items()}
+        for v, entries in moved.items():
+            out.setdefault(v, {}).update(zip(block, entries))
+
+    changed = {}
+    for v, new in out.items():
+        row = tuple(sorted((c, k) for c, k in {**at(v), **new}.items() if k))
+        if sum(k for _, k in row) != beta.beta[v]:
+            raise LocalGraphsError("transport missed the target column degrees")
+        if row != rows[v]:
+            changed[v] = row
+    if not set(I) <= changed.keys():
+        raise LocalGraphsError("transport missed the target column degrees")
+    if len(changed) > bound:
+        raise LocalGraphsError(f"transport changed {len(changed)} columns, above its bound {bound}")
+    return changed, bound
 
 
-def _case_m1_core(a: list[list[int]], beta: list[int], I: list[int]) -> list[list[int]]:
-    """Two-row transport assuming column 0 is not in the mismatch set I."""
-    n = len(beta)
-    inside = set(I) | {0}
-    total_beta = sum(beta)
-    # route everything in the mismatch columns (and column 0) to column 0,
-    # keeping the two row sums equal
-    P1 = sum(a[0][j] for j in range(n) if j not in inside)
-    P2 = sum(a[1][j] for j in range(n) if j not in inside)
-    Q = sum(beta[j] for j in I if j != 0)
-    R = max(P1 + Q, P2, -(-total_beta // 2))
-    b = [list(a[0]), list(a[1])]
-    for j in I:
-        if j != 0:
-            b[0][j] = beta[j]
-            b[1][j] = 0
-    b[0][0] = R - P1 - Q
-    b[1][0] = R - P2
-    r = 2 * R - total_beta  # excess parked in column 0; even since sum(beta) is
+def _pair(block, tgt, total, n, sums, support, at) -> dict[int, list[int]]:
+    """Two-row transport of the pair ``block`` onto the targets ``tgt`` of its
+    mismatch columns, its other columns keeping their sums.
+
+    The anchor is the lowest column outside the mismatch set.  The mismatch
+    columns take their whole target in the first row; the anchor balances the
+    two row sums and parks an even excess, which moves out two units at a
+    time through the lowest column whose entry in the lighter row is >= 1;
+    in that scan column 0 stands where the anchor would.
+    """
+    anchor = next(j for j in range(len(tgt) + 1) if j not in tgt)
+    if anchor >= n:
+        raise Infeasible("every column mismatches; no anchor column available")
+    c0, c1 = block
+    P1 = sums.get(c0, 0) - sum(at(v).get(c0, 0) for v in (*tgt, anchor))
+    P2 = sums.get(c1, 0) - sum(at(v).get(c1, 0) for v in (*tgt, anchor))
+    Q = sum(tgt.values())
+    R = max(P1 + Q, P2, -(-total // 2))
+    b = {v: [t, 0] for v, t in tgt.items()}
+    x = b[anchor] = [R - P1 - Q, R - P2]
+    r = 2 * R - total
     if r < 0 or r % 2 != 0:
-        raise LocalGraphsError(f"excess {r} parked in column 0 is not a nonnegative even number")
+        raise LocalGraphsError(f"excess {r} parked in the anchor column is not a nonnegative even number")
     while r > 0:
-        if b[0][0] == b[1][0]:
-            half = r // 2
-            b[0][0] -= half
-            b[1][0] -= half
-            r = 0
-            continue
-        hi, lo = (0, 1) if b[0][0] > b[1][0] else (1, 0)
-        k = next((j for j in range(1, n) if b[lo][j] >= 1), None)
-        if k is None:
-            raise Infeasible("no column available for the excess move")
-        b[hi][0] -= 2
-        b[hi][k] += 1
-        b[lo][k] -= 1
+        if x[0] == x[1]:
+            x[0] -= r // 2
+            x[1] -= r // 2
+            break
+        hi, lo = (0, 1) if x[0] > x[1] else (1, 0)
+        # the two rows have equal sums and the lighter one is lighter at the
+        # anchor, so it has a unit elsewhere: a column already rewritten, or
+        # else the first of its untouched positive columns
+        candidates = [v for v, y in b.items() if v != anchor and y[lo] >= 1]
+        candidates += [next((v for v in support.get(block[lo], ()) if v not in b), None)]
+        k = min((v for v in candidates if v is not None), key=lambda v: anchor if v == 0 else v)
+        if k not in b:
+            b[k] = [at(k).get(c0, 0), at(k).get(c1, 0)]
+        x[hi] -= 2
+        b[k][hi] += 1
+        b[k][lo] -= 1
         r -= 2
     return b
 
 
-def transport_case_m1(A: DegreeMatrix, beta: TargetDegrees) -> DegreeMatrix:
-    """One conjugate pair of rows with equal sums."""
-    if A.p != 0 or A.m != 1:
-        raise InvalidSequence("expected p=0, m=1")
-    if len(beta.beta) != A.n:
-        raise InvalidSequence("target length mismatch")
-    I = mismatch_columns(A, beta)
-    if not I:
-        return A
-    a = [list(A.a[0]), list(A.a[1])]
-    bvec = list(beta.beta)
-    anchor = next((j for j in range(A.n) if j not in set(I)), None)
-    if anchor is None:
-        raise Infeasible("every column mismatches; no anchor column available")
-    if anchor != 0:
-        _swap_columns(a, 0, anchor)
-        bvec[0], bvec[anchor] = bvec[anchor], bvec[0]
-        I = [0 if j == anchor else (anchor if j == 0 else j) for j in I]
-    out = _case_m1_core(a, bvec, I)
-    if anchor != 0:
-        _swap_columns(out, 0, anchor)
-    return DegreeMatrix(0, 1, (tuple(out[0]), tuple(out[1])))
-
-
-def _sub_target(rows: list[tuple[int, ...]], outside: list[int], inside: set[int]) -> list[int]:
-    """Target for a non-first subproblem: retain out-of-mismatch column sums,
-    decrementing one entry when the retained total is odd."""
-    n = len(rows[0])
-    tgt = [sum(row[j] for row in rows) if j not in inside else 0 for j in range(n)]
-    if sum(tgt) % 2 != 0:
-        j_star = next((j for j in outside if tgt[j] > 0), None)
-        if j_star is None:
-            raise Infeasible("no positive entry outside the mismatch set for a parity fix")
-        tgt[j_star] -= 1
-    return tgt
-
-
 def transport_general(A: DegreeMatrix, beta: TargetDegrees) -> DegreeMatrix:
-    """Dispatch to the single-row and row-pair solvers via submatrix targets."""
+    """Transport the dense matrix A onto the column sums beta; its rows are
+    the colours 0 .. p + 2m - 1."""
     if len(beta.beta) != A.n:
         raise InvalidSequence("target length mismatch")
-    if A.p == 1 and A.m == 0:
-        return transport_case_p1(A, beta)
-    if A.p == 0 and A.m == 1:
-        return transport_case_m1(A, beta)
-    I = mismatch_columns(A, beta)
-    if not I:
+    columns = [tuple((i, row[v]) for i, row in enumerate(A.a) if row[v]) for v in range(A.n)]
+    blocks = [(i,) for i in range(A.p)] + [(i, i + 1) for i in range(A.p, A.rows, 2)]
+    changed, _ = _transport(columns, beta, lambda present: blocks)
+    if not changed:
         return A
-    inside = set(I)
-    outside = [j for j in range(A.n) if j not in inside]
-
-    blocks: list[list[tuple[int, ...]]] = []
-    for i in range(A.p):
-        blocks.append([A.a[i]])
-    for i in range(A.m):
-        blocks.append([A.a[A.p + 2 * i], A.a[A.p + 2 * i + 1]])
-
-    targets: list[list[int]] = [None] * len(blocks)  # type: ignore[list-item]
-    for i in range(1, len(blocks)):
-        targets[i] = _sub_target(blocks[i], outside, inside)
-    first = list(beta.beta)
-    for i in range(1, len(blocks)):
-        for j in range(A.n):
-            first[j] -= targets[i][j]
-    if any(x < 0 for x in first):
-        raise Infeasible("residual target for the first subproblem went negative")
-    targets[0] = first
-
-    out_rows: list[tuple[int, ...]] = []
-    for i, block in enumerate(blocks):
-        tgt = TargetDegrees.of(tuple(targets[i]))
-        if len(block) == 1:
-            sub = transport_case_p1(DegreeMatrix(1, 0, (block[0],)), tgt)
-        else:
-            sub = transport_case_m1(DegreeMatrix(0, 1, tuple(block)), tgt)
-        out_rows.extend(sub.a)
-    # reassemble in original row order: diagonal rows first, then the pairs
-    diag = out_rows[: A.p]
-    rest = out_rows[A.p :]
-    result = DegreeMatrix(A.p, A.m, tuple(diag + rest))
-    if column_degrees(result) != beta.beta:
-        raise LocalGraphsError("transport missed the target column degrees")
-    if changed_columns(A, result) > change_bound(A, beta):
-        raise LocalGraphsError("transport changed more columns than its bound")
-    return result
+    a = [list(row) for row in A.a]
+    for v, column in changed.items():
+        entries = dict(column)
+        for i, row in enumerate(a):
+            row[v] = entries.get(i, 0)
+    return DegreeMatrix(A.p, A.m, tuple(map(tuple, a)))
 
 
-# --- colored-sequence wrapper -----------------------------------------------
-
-
-def color_row_order(colors: ColorSet, present: set[Color]) -> tuple[list[Color], int, int]:
-    """Row order: sorted diagonal colors, then sorted conjugate pairs."""
-    diag = sorted(c for c in present if c == ColorSet.conjugate(c))
-    pairs = sorted(c for c in present if c < ColorSet.conjugate(c))
-    order = list(diag)
-    for c in pairs:
-        order.append(c)
-        order.append(ColorSet.conjugate(c))
-    return order, len(diag), len(pairs)
-
-
-def colored_to_matrix(D: ColoredDegreeSequence) -> tuple[DegreeMatrix, list[Color]]:
-    present: set[Color] = set()
-    for v in range(D.n):
-        for c, k in D.degrees[v]:
-            if k:
-                present.add(c)
-                present.add(ColorSet.conjugate(c))
-    order, p, m = color_row_order(D.colors, present)
-    index = {c: i for i, c in enumerate(order)}
-    rows = [[0] * D.n for _ in order]
-    # scatter each vertex's nonzero entries; a zero entry's colour may have no row
-    for v in range(D.n):
-        for c, k in D.degrees[v]:
-            if k:
-                rows[index[c]][v] = k
-    return DegreeMatrix(p, m, tuple(map(tuple, rows))), order
-
-
-def matrix_to_colored(
-    A: DegreeMatrix, order: list[Color], colors: ColorSet
-) -> ColoredDegreeSequence:
-    maps: list[dict[Color, int]] = []
-    for v in range(A.n):
-        row_map: dict[Color, int] = {}
-        for i, c in enumerate(order):
-            if A.a[i][v]:
-                row_map[c] = A.a[i][v]
-        maps.append(row_map)
-    return ColoredDegreeSequence.from_maps(colors, maps)
+def _colour_blocks(present: Iterable[Color]) -> list[tuple[Color, ...]]:
+    """Sorted diagonal colours, then sorted conjugate pairs c < conj(c)."""
+    diagonal = sorted(c for c in present if c[0] == c[1])
+    pairs = sorted(c for c in present if c[0] < c[1])
+    return [(c,) for c in diagonal] + [(c, ColorSet.conjugate(c)) for c in pairs]
 
 
 @dataclass(frozen=True)
@@ -293,18 +273,17 @@ class ColoredModification:
 def modify_colored_degrees(
     D: ColoredDegreeSequence, ell: DegreeSequence
 ) -> ColoredModification:
-    """Adjust per-vertex colored degrees so their totals match ell exactly."""
+    """Adjust per-vertex colored degrees so their totals match ell exactly;
+    D itself comes back when they already do."""
     if D.n != ell.n:
         raise InvalidSequence("vertex count mismatch")
-    A, order = colored_to_matrix(D)
-    beta = TargetDegrees.of(tuple(ell.ell))
-    out = transport_general(A, beta)
-    seq = matrix_to_colored(out, order, D.colors)
-    changed = sum(1 for v in range(D.n) if seq.degrees[v] != D.degrees[v])
-    bound = change_bound(A, beta)
-    if changed > bound:
-        raise LocalGraphsError(f"transport changed {changed} vertices, above its bound {bound}")
-    return ColoredModification(seq, changed, bound)
+    changed, bound = _transport(D.degrees, TargetDegrees.of(ell.ell), _colour_blocks)
+    if not changed:
+        return ColoredModification(D, 0, bound)
+    rows = list(D.degrees)
+    for v, row in changed.items():
+        rows[v] = row
+    return ColoredModification(ColoredDegreeSequence(D.colors, tuple(rows)), len(changed), bound)
 
 
 # --- text formats -----------------------------------------------------------

@@ -64,7 +64,6 @@ from .transport import (
     change_bound,
     changed_columns,
     column_degrees,
-    transport_case_m1,
     transport_general,
 )
 
@@ -438,33 +437,38 @@ def _perturb_target(rng: random.Random, deg: tuple[int, ...], s: int, M: int) ->
     return TargetDegrees(tuple(beta), max(max(beta), M))
 
 
+def transport_instance(rng: random.Random, i: int) -> tuple[DegreeMatrix, TargetDegrees]:
+    """Criterion 7's i-th instance: one diagonal row, one pair, or up to two
+    of each, with a target that moves one to three columns off column 0."""
+    n = rng.randint(6, 30)
+    L = rng.randint(1, 4)
+    if i % 3 == 0:
+        A = DegreeMatrix(1, 0, (tuple(_random_even_row(rng, n, L)),))
+    elif i % 3 == 1:
+        A = DegreeMatrix(0, 1, tuple(map(tuple, _random_pair_rows(rng, n, L))))
+    else:
+        p, m = rng.randint(0, 2), rng.randint(0, 2)
+        if p + m == 0:
+            p = 1
+        rows = [tuple(_random_even_row(rng, n, L)) for _ in range(p)]
+        for _ in range(m):
+            rows.extend(map(tuple, _random_pair_rows(rng, n, L)))
+        A = DegreeMatrix(p, m, tuple(rows))
+    return A, _perturb_target(rng, column_degrees(A), rng.randint(1, 3), L + 2)
+
+
 def suite_transport() -> CriterionResult:
     t0 = time.monotonic()
     rng = random.Random(7301)
     failures = 0
     for i in range(TRANSPORT_INSTANCES):
-        case = i % 3
-        n = rng.randint(6, 30)
-        L = rng.randint(1, 4)
-        if case == 0:
-            A = DegreeMatrix(1, 0, (tuple(_random_even_row(rng, n, L)),))
-        elif case == 1:
-            A = DegreeMatrix(0, 1, tuple(map(tuple, _random_pair_rows(rng, n, L))))
-        else:
-            p, m = rng.randint(0, 2), rng.randint(0, 2)
-            if p + m == 0:
-                p = 1
-            rows = [tuple(_random_even_row(rng, n, L)) for _ in range(p)]
-            for _ in range(m):
-                rows.extend(map(tuple, _random_pair_rows(rng, n, L)))
-            A = DegreeMatrix(p, m, tuple(rows))
-        beta = _perturb_target(rng, column_degrees(A), rng.randint(1, 3), L + 2)
+        A, beta = transport_instance(rng, i)
         if not _check_transport(A, beta):
             failures += 1
     # worked 2x2 example: both row sums move from 2 to 3
     A = DegreeMatrix(0, 1, ((1, 1), (1, 1)))
     beta = TargetDegrees((2, 4), 4)
-    out = transport_case_m1(A, beta)
+    out = transport_general(A, beta)
     example_ok = (
         column_degrees(out) == (2, 4)
         and sum(out.a[0]) == sum(out.a[1])

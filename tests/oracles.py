@@ -4,9 +4,12 @@ Nothing here shares logic with the package's canonical-code machinery: the
 isomorphism oracle is a plain backtracking search over vertex bijections and
 the BFS is written from scratch, so agreement is meaningful evidence.  Two
 exceptions: ``lp_flow_oracle`` takes the local distance from the package and
-checks the closed form of d_LP against the general max-flow formulation, and
+checks the closed form of d_LP against the general max-flow formulation,
 ``ir_certificate_oracle`` takes the certificate serialization from the package
-and checks the pruned search against the full one.
+and checks the pruned search against the full one, and ``dense_transport``
+takes the matrix and target types and the postcondition checks from the
+package and checks the column-sparse transport against the dense colours x n
+algorithm it replaced.
 """
 from fractions import Fraction
 
@@ -268,3 +271,128 @@ def ir_certificate_oracle(g: MarkedGraph, roots: tuple[int, ...]) -> str:
     labels = [(tuple(i for i, r in enumerate(roots) if r == v), g.tau[v]) for v in range(g.n)]
     ranking = {s: i for i, s in enumerate(sorted(set(labels)))}
     return search([ranking[s] for s in labels])
+
+
+# --- the dense colours x n transport ------------------------------------------
+
+
+def _dense_case_m1(a: list[list[int]], beta: list[int]) -> list[list[int]]:
+    """Two-row transport on the whole matrix: anchor at the lowest column that
+    already matches, swapped into column 0."""
+    from localgraphs.errors import Infeasible, LocalGraphsError
+
+    n = len(beta)
+    I = [j for j in range(n) if a[0][j] + a[1][j] != beta[j]]
+    if not I:
+        return a
+    anchor = next((j for j in range(n) if j not in set(I)), None)
+    if anchor is None:
+        raise Infeasible("every column mismatches; no anchor column available")
+    swap = [anchor if j == 0 else 0 if j == anchor else j for j in range(n)]
+    a = [[row[swap[j]] for j in range(n)] for row in a]
+    beta = [beta[swap[j]] for j in range(n)]
+    inside = {0} | {swap[j] for j in I}
+    P1 = sum(a[0][j] for j in range(n) if j not in inside)
+    P2 = sum(a[1][j] for j in range(n) if j not in inside)
+    Q = sum(beta[j] for j in inside if j != 0)
+    R = max(P1 + Q, P2, -(-sum(beta) // 2))
+    b = [list(a[0]), list(a[1])]
+    for j in inside - {0}:
+        b[0][j], b[1][j] = beta[j], 0
+    b[0][0], b[1][0] = R - P1 - Q, R - P2
+    r = 2 * R - sum(beta)
+    if r < 0 or r % 2:
+        raise LocalGraphsError(f"excess {r} parked in column 0 is not a nonnegative even number")
+    while r > 0:
+        if b[0][0] == b[1][0]:
+            b[0][0] -= r // 2
+            b[1][0] -= r // 2
+            break
+        hi, lo = (0, 1) if b[0][0] > b[1][0] else (1, 0)
+        k = next((j for j in range(1, n) if b[lo][j] >= 1), None)
+        if k is None:
+            raise Infeasible("no column available for the excess move")
+        b[hi][0] -= 2
+        b[hi][k] += 1
+        b[lo][k] -= 1
+        r -= 2
+    return [[row[swap[j]] for j in range(n)] for row in b]
+
+
+def dense_transport(A, beta):
+    """The transport on the dense matrix: one sub-target per diagonal row and
+    per conjugate pair, each solved on all n columns."""
+    from localgraphs.errors import Infeasible, InvalidSequence, LocalGraphsError
+    from localgraphs.transport import (
+        DegreeMatrix,
+        change_bound,
+        changed_columns,
+        column_degrees,
+    )
+
+    if len(beta.beta) != A.n:
+        raise InvalidSequence("target length mismatch")
+    I = [j for j, d in enumerate(column_degrees(A)) if d != beta.beta[j]]
+    if not I:
+        return A
+    blocks = [[list(A.a[i])] for i in range(A.p)]
+    blocks += [[list(A.a[i]), list(A.a[i + 1])] for i in range(A.p, A.rows, 2)]
+    targets = []
+    for block in blocks[1:]:
+        # keep the block's sums outside I, with one unit off the first
+        # positive one when their total is odd
+        tgt = [0 if j in I else sum(row[j] for row in block) for j in range(A.n)]
+        if sum(tgt) % 2:
+            j_star = next((j for j in range(A.n) if tgt[j] > 0), None)
+            if j_star is None:
+                raise Infeasible("no positive entry outside the mismatch set for a parity fix")
+            tgt[j_star] -= 1
+        targets.append(tgt)
+    first = [beta.beta[j] - sum(t[j] for t in targets) for j in range(A.n)]
+    rows = []
+    for block, tgt in zip(blocks, [first] + targets):
+        rows.extend([tgt] if len(block) == 1 else _dense_case_m1(block, tgt))
+    result = DegreeMatrix(A.p, A.m, tuple(map(tuple, rows)))
+    if column_degrees(result) != beta.beta:
+        raise LocalGraphsError("transport missed the target column degrees")
+    if changed_columns(A, result) > change_bound(A, beta):
+        raise LocalGraphsError("transport changed more columns than its bound")
+    return result
+
+
+def colored_to_matrix(D):
+    """D as a dense matrix, one row per colour present: sorted diagonal
+    colours, then each sorted pair c < conj(c) followed by conj(c)."""
+    from localgraphs.transport import DegreeMatrix
+
+    present = {c for row in D.degrees for c, k in row if k}
+    order = sorted(c for c in present if c[0] == c[1])
+    p = len(order)
+    for c in sorted(c for c in present if c[0] < c[1]):
+        order += [c, (c[1], c[0])]
+    index = {c: i for i, c in enumerate(order)}
+    rows = [[0] * D.n for _ in order]
+    for v, row in enumerate(D.degrees):
+        for c, k in row:
+            if k:
+                rows[index[c]][v] = k
+    return DegreeMatrix(p, (len(order) - p) // 2, tuple(map(tuple, rows))), order
+
+
+def matrix_to_colored(A, order, colors):
+    from localgraphs.colored import ColoredDegreeSequence
+
+    return ColoredDegreeSequence.from_maps(
+        colors, [{c: A.a[i][v] for i, c in enumerate(order) if A.a[i][v]} for v in range(A.n)]
+    )
+
+
+def dense_modify_colored_degrees(D, ell):
+    """(sequence, changed vertices, bound) of the dense transport of D onto ell."""
+    from localgraphs.transport import TargetDegrees, change_bound
+
+    A, order = colored_to_matrix(D)
+    beta = TargetDegrees.of(ell.ell)
+    seq = matrix_to_colored(dense_transport(A, beta), order, D.colors)
+    changed = sum(1 for v in range(D.n) if seq.degrees[v] != D.degrees[v])
+    return seq, changed, change_bound(A, beta)

@@ -205,6 +205,12 @@ MALFORMED = {
     "unknown_color": ("cds", "cds 2 1\ncolor 1 a - a - 1\nv 1 2:1\nv 2 1:1\n"),
     "vertex_out_of_range": ("cds", "cds 2 1\ncolor 1 a - a - 1\nv 1 1:1\nv 2 1:1\nv 7 1:2\n"),
     "color_without_conjugate": ("cds", "cds 2 1\ncolor 1 a - a -\nv 1 1:1\nv 2 1:1\n"),
+    "negative_count": ("cds", "cds 2 1\ncolor 1 a - a - 1\nv 1 1:-1\nv 2 1:-1\n"),
+    "repeated_vertex": ("cds", "cds 2 1\ncolor 1 a - a - 1\nv 1 1:1\nv 2 1:1\nv 1 1:3\n"),
+    "repeated_color": (
+        "cds", "cds 2 1\ncolor 1 a - a - 1\ncolor 1 b - b - 1\nv 1 1:1\nv 2 1:1\n"
+    ),
+    "color_repeated_in_vertex": ("cds", "cds 2 1\ncolor 1 a - a - 1\nv 1 1:1 1:1\nv 2 1:2\n"),
 }
 
 

@@ -276,6 +276,29 @@ def test_read_cds_rejects_garbage():
         read_cds("nope\n")
 
 
+def test_read_cds_rejects_negative_counts():
+    with pytest.raises(InvalidSequence, match="negative"):
+        read_cds("cds 2 1\ncolor 1 a - a - 1\nv 1 1:-1\nv 2 1:-1\n")
+
+
+HEADER = "cds 2 1\ncolor 1 a - a - 1\n"
+
+
+def test_read_cds_rejects_a_repeated_vertex_line():
+    with pytest.raises(InvalidSequence, match="'v 1 1:3'"):
+        read_cds(HEADER + "v 1 1:1\nv 2 1:1\nv 1 1:3\n")
+
+
+def test_read_cds_rejects_a_repeated_color_line():
+    with pytest.raises(InvalidSequence, match="'color 1 b - b - 1'"):
+        read_cds(HEADER + "color 1 b - b - 1\nv 1 1:1\nv 2 1:1\n")
+
+
+def test_read_cds_rejects_a_color_repeated_within_a_vertex():
+    with pytest.raises(InvalidSequence, match="'v 1 1:1 1:1'"):
+        read_cds(HEADER + "v 1 1:1 1:1\nv 2 1:2\n")
+
+
 def test_wilson_interval_basics():
     low, high = wilson_interval(50, 100)
     assert 0 < low < 0.5 < high < 1

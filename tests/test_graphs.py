@@ -149,6 +149,15 @@ def test_ball_excluded_edge_on_a_four_cycle():
         ball(g, 1, -1)
 
 
+def test_rooted_graph_rejects_a_disconnected_graph():
+    # ball marks its subgraph connected without a search; a graph built by
+    # hand is still searched
+    g = build_graph(3, {(0, 1): ("a", "b")}, ("s", "t", "s"), AB)
+    with pytest.raises(ValueError, match="connected"):
+        RootedMarkedGraph(g, 0)
+    assert ball(g, 0).n == 2 and ball(g, 2).n == 1
+
+
 def test_truncate_idempotent():
     rng = random.Random(8)
     g = random_marked(rng, 12)

@@ -22,20 +22,22 @@ from localgraphs.transport import (
     TargetDegrees,
     change_bound,
     changed_columns,
-    colored_to_matrix,
     column_degrees,
-    matrix_to_colored,
     mismatch_columns,
     modify_colored_degrees,
     read_matrix,
     read_targets,
-    transport_case_m1,
-    transport_case_p1,
     transport_general,
     write_matrix,
     write_targets,
 )
-from localgraphs.verify import random_sparse_graph
+from localgraphs.verify import random_bounded_tree, random_sparse_graph, transport_instance
+from oracles import (
+    colored_to_matrix,
+    dense_modify_colored_degrees,
+    dense_transport,
+    matrix_to_colored,
+)
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 
@@ -64,7 +66,7 @@ def test_column_helpers():
     beta = TargetDegrees.of((2, 2, 2))
     assert column_degrees(A) == (2, 4, 2)
     assert mismatch_columns(A, beta) == [1]
-    out = transport_case_p1(A, beta)
+    out = transport_general(A, beta)
     assert column_degrees(out) == (2, 2, 2)
     assert changed_columns(A, out) == 1
 
@@ -72,7 +74,7 @@ def test_column_helpers():
 def test_single_row_case_is_direct():
     A = DegreeMatrix(1, 0, ((0, 2, 0, 4),))
     beta = TargetDegrees.of((1, 1, 1, 3))
-    out = transport_case_p1(A, beta)
+    out = transport_general(A, beta)
     assert out.a == ((1, 1, 1, 3),)
     assert changed_columns(A, out) <= change_bound(A, beta)
 
@@ -80,14 +82,13 @@ def test_single_row_case_is_direct():
 def test_identity_when_already_matching():
     A = DegreeMatrix(0, 1, ((1, 2), (2, 1)))
     beta = TargetDegrees.of(tuple(column_degrees(A)))
-    assert transport_case_m1(A, beta) is A
     assert transport_general(A, beta) is A
 
 
 def test_worked_two_by_two_pair():
     A = DegreeMatrix(0, 1, ((1, 1), (1, 1)))
     beta = TargetDegrees.of((2, 4))
-    out = transport_case_m1(A, beta)
+    out = transport_general(A, beta)
     assert column_degrees(out) == (2, 4)
     assert sum(out.a[0]) == sum(out.a[1])
     assert all(x >= 0 for row in out.a for x in row)
@@ -97,7 +98,7 @@ def test_all_columns_mismatch_is_infeasible():
     A = DegreeMatrix(0, 1, ((1, 1), (1, 1)))
     beta = TargetDegrees.of((3, 3))
     with pytest.raises(Infeasible):
-        transport_case_m1(A, beta)
+        transport_general(A, beta)
 
 
 def brute_force_pair_exists(a, beta):
@@ -146,7 +147,7 @@ def test_pair_case_exhaustive_feasibility_agreement():
         tgt = TargetDegrees.of(tuple(beta))
         checked += 1
         try:
-            out = transport_case_m1(A, tgt)
+            out = transport_general(A, tgt)
         except Infeasible:
             assert not brute_force_pair_exists(a, beta)
             continue
@@ -283,6 +284,83 @@ def test_modify_colored_degrees_hits_targets():
     assert done > 30
 
 
+def outcome(solve, *args):
+    try:
+        return solve(*args)
+    except Infeasible:
+        return Infeasible
+
+
+def mostly_zero_instance(rng):
+    """Up to two diagonal rows and two pairs on at most 6 columns, mostly
+    zeros, with every target entry redrawn."""
+    n = rng.randint(2, 6)
+    p, m = rng.randint(0, 2), rng.randint(0, 2)
+    if p + m == 0:
+        m = 1
+
+    def row():
+        return [rng.choice((0, 0, 0, 1, 2)) for _ in range(n)]
+
+    rows = []
+    for _ in range(p):
+        r = row()
+        r[rng.randrange(n)] += sum(r) % 2
+        rows.append(tuple(r))
+    for _ in range(m):
+        r1, r2 = row(), row()
+        diff = sum(r1) - sum(r2)
+        (r2 if diff > 0 else r1)[rng.randrange(n)] += abs(diff)
+        rows += [tuple(r1), tuple(r2)]
+    target = [rng.choice((0, 0, 1, 2, 3)) for _ in range(n)]
+    target[rng.randrange(n)] += sum(target) % 2
+    return DegreeMatrix(p, m, tuple(rows)), TargetDegrees.of(tuple(target))
+
+
+def test_sparse_transport_matches_dense_oracle():
+    rng = random.Random(1103)
+    instances = [transport_instance(rng, i) for i in range(1000)]
+    instances += [mostly_zero_instance(rng) for _ in range(400)]
+    infeasible = 0
+    for A, beta in instances:
+        expected = outcome(dense_transport, A, beta)
+        assert outcome(transport_general, A, beta) == expected
+        infeasible += expected is Infeasible
+    assert 50 < infeasible < 200
+
+
+def test_sparse_colored_transport_matches_dense_oracle():
+    # criterion 8's targets: a bounded tree with raised leaves, at depth 1 and 2
+    rng = random.Random(1109)
+    for _ in range(60):
+        g = random_bounded_tree(rng, rng.randint(8, 60))
+        ell = list(g.degrees())
+        leaves = [v for v in range(g.n) if ell[v] == 1]
+        raised = rng.sample(leaves, rng.randint(1, min(3, len(leaves))))
+        for v in raised:
+            ell[v] = 3 if len(raised) == 1 else rng.randint(2, 3)
+        if sum(ell) % 2:
+            ell[raised[0]] -= 1
+        ell = DegreeSequence(tuple(ell))
+        for k in (1, 2):
+            D = colored_degree_sequence_of(color_graph(g, k)[0])
+            expected = outcome(dense_modify_colored_degrees, D, ell)
+            mod = outcome(modify_colored_degrees, D, ell)
+            if expected is Infeasible:
+                assert mod is Infeasible
+            else:
+                assert (mod.sequence, mod.changed_vertices, mod.bound) == expected
+
+
+def test_edgeless_sequence_keeps_its_columns():
+    # no colour is present to carry degree; the dense matrix of this sequence
+    # had no columns at all, so every target length mismatched
+    D = ColoredDegreeSequence.from_maps(ColorSet(()), [{}, {}])
+    assert modify_colored_degrees(D, DegreeSequence((0, 0))).sequence is D
+    with pytest.raises(Infeasible):
+        modify_colored_degrees(D, DegreeSequence((1, 1)))
+
+
 def test_postconditions_survive_optimized_mode():
     # python -O strips assert statements; the transport checks must still raise
     script = """
@@ -291,10 +369,10 @@ from localgraphs.colored import ColorSet, ColoredDegreeSequence
 from localgraphs.errors import LocalGraphsError
 from localgraphs.graphs import DegreeSequence
 
-transport.change_bound = lambda A, beta: -1
+transport._change_bound = lambda blocks, L, M, s: -1
 D = ColoredDegreeSequence.from_maps(ColorSet((("a", b""),)), [{(0, 0): 1}, {(0, 0): 1}])
 try:
-    transport.modify_colored_degrees(D, DegreeSequence((1, 1)))
+    transport.modify_colored_degrees(D, DegreeSequence((2, 2)))
 except LocalGraphsError:
     raise SystemExit(0)
 raise SystemExit(3)
