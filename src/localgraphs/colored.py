@@ -107,13 +107,12 @@ class ColoredDegreeSequence:
 
     @classmethod
     def from_maps(cls, colors: ColorSet, maps: list[dict[Color, int]]) -> "ColoredDegreeSequence":
-        """Equal rows are stored as one shared tuple, so a profile with few
-        distinct rows costs n pointers plus those rows."""
+        """Zero counts are dropped, so equal sequences compare equal.  Equal
+        rows are stored as one shared tuple, so a profile with few distinct
+        rows costs n pointers plus those rows."""
         rows: dict[tuple, tuple] = {}
-        return cls(
-            colors,
-            tuple(rows.setdefault(r, r) for r in (tuple(sorted(m.items())) for m in maps)),
-        )
+        built = (tuple(sorted((c, k) for c, k in m.items() if k)) for m in maps)
+        return cls(colors, tuple(rows.setdefault(r, r) for r in built))
 
     @property
     def n(self) -> int:
@@ -148,8 +147,7 @@ def colored_degree_sequence_of(g: ColoredMultigraph) -> ColoredDegreeSequence:
     maps: list[dict[Color, int]] = [{} for _ in range(g.n)]
     for c, entries in g.omega.items():
         for (u, _), k in entries.items():
-            if k:
-                maps[u][c] = maps[u].get(c, 0) + k
+            maps[u][c] = maps[u].get(c, 0) + k
     return ColoredDegreeSequence.from_maps(g.colors, maps)
 
 

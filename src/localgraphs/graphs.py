@@ -80,11 +80,13 @@ class MarkedGraph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbours per vertex; rows of one or two ids below
+        ``_POOLED`` are shared tuples, like the edges of ``build_graph``."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for (u, v) in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(_row(a) for a in adj)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -142,8 +144,23 @@ _POOLED = 64
 _PAIRS = tuple(tuple((u, v) for v in range(_POOLED)) for u in range(_POOLED))
 
 
+#: _SINGLES[v] is (v,), the pooled adjacency row of a vertex whose one
+#: neighbour is v.
+_SINGLES = tuple((v,) for v in range(_POOLED))
+
+
 def _pair(u: int, v: int) -> tuple[int, int]:
     return _PAIRS[u][v] if 0 <= u < _POOLED and 0 <= v < _POOLED else (u, v)
+
+
+def _row(neighbours: list[int]) -> tuple[int, ...]:
+    """The sorted neighbours as a tuple, pooled when one or two ids < _POOLED."""
+    neighbours.sort()
+    if len(neighbours) == 2 and neighbours[1] < _POOLED:
+        return _PAIRS[neighbours[0]][neighbours[1]]
+    if len(neighbours) == 1 and neighbours[0] < _POOLED:
+        return _SINGLES[neighbours[0]]
+    return tuple(neighbours)
 
 
 def build_graph(n, edge_marks, tau=None, alphabets=UNMARKED):

@@ -2,14 +2,19 @@
 
 Nothing here shares logic with the package's canonical-code machinery: the
 isomorphism oracle is a plain backtracking search over vertex bijections and
-the BFS is written from scratch, so agreement is meaningful evidence.  Two
-exceptions: ``lp_flow_oracle`` takes the local distance from the package and
-checks the closed form of d_LP against the general max-flow formulation,
-``ir_certificate_oracle`` takes the certificate serialization from the package
-and checks the pruned search against the full one, and ``dense_transport``
-takes the matrix and target types and the postcondition checks from the
-package and checks the column-sparse transport against the dense colours x n
-algorithm it replaced.
+the BFS is written from scratch, so agreement is meaningful evidence.  Four
+exceptions each take one piece from the package and check another against a
+slower reference:
+
+- ``lp_flow_oracle`` takes the local distance and checks the closed form of
+  d_LP against the general max-flow formulation;
+- ``ir_certificate_oracle`` takes the certificate serialization and checks the
+  pruned search against the full one;
+- ``unimodular_all_pairs_oracle`` takes the pair classes and balances every
+  ordered pair of a component, where the package balances edges only;
+- ``dense_transport`` takes the matrix and target types and the postcondition
+  checks, and checks the column-sparse transport against the dense
+  colours x n algorithm it replaced.
 """
 from fractions import Fraction
 
@@ -235,6 +240,27 @@ def lp_flow_oracle(mu, nu) -> Fraction:
         if e <= v:
             break
     return best
+
+
+def unimodular_all_pairs_oracle(mu):
+    """Mass-transport balance over every ordered pair (o, v) of each atom's
+    component, not only adjacent ones: for each doubly-rooted class, the mass
+    of (o, v) orderings must equal the mass of (v, o) orderings."""
+    from localgraphs.canonical import canonicalize_pair
+    from localgraphs.measures import UnimodularityReport
+
+    balance: dict = {}
+    for atom, w in mu.atoms.items():
+        rg = mu.rep(atom)
+        for v in range(rg.n):
+            forward = canonicalize_pair(rg.graph, rg.root, v)
+            backward = canonicalize_pair(rg.graph, v, rg.root)
+            balance[forward] = balance.get(forward, Fraction(0)) + w
+            balance[backward] = balance.get(backward, Fraction(0)) - w
+    for cls in sorted(balance):
+        if balance[cls] != 0:
+            return UnimodularityReport(False, cls, balance[cls])
+    return UnimodularityReport(True, None, Fraction(0))
 
 
 def ir_certificate_oracle(g: MarkedGraph, roots: tuple[int, ...]) -> str:

@@ -271,6 +271,14 @@ def test_cds_round_trip():
         ]
 
 
+def test_cds_zero_counts_do_not_break_equality():
+    # the zero count of colour 2 at vertex 1 is not written back
+    text = "cds 2 2\ncolor 1 a - b - 2\ncolor 2 b - a - 1\nv 1 1:1 2:0\nv 2 2:1\n"
+    D = read_cds(text)
+    assert D.degrees[0] == (((0, 1), 1),)
+    assert read_cds(write_cds(D)) == D
+
+
 def test_read_cds_rejects_garbage():
     with pytest.raises(InvalidSequence):
         read_cds("nope\n")

@@ -68,6 +68,18 @@ def test_build_graph_keys_xi_by_its_edge_tuples():
         assert all(key is edges[key] for key in sub.xi if key[0] < key[1])
 
 
+def test_adjacency_rows_are_sorted_neighbours_and_pooled():
+    rng = random.Random(43)
+    for _ in range(40):
+        # ids on both sides of the pooling bound
+        g = random_marked(rng, rng.randint(1, 80), p=rng.choice((0.02, 0.05, 0.2)))
+        for v in range(g.n):
+            assert g.adjacency[v] == tuple(sorted(w for w in range(g.n) if g.has_edge(v, w)))
+    # two paths share their one- and two-neighbour rows below the bound
+    g, h = (build_graph(n, {(i, i + 1): ("a", "a") for i in range(n - 1)}, None, AB) for n in (10, 12))
+    assert all(g.adjacency[v] is h.adjacency[v] for v in range(9))
+
+
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         MarkAlphabets((), ("a",))

@@ -29,7 +29,7 @@ from localgraphs.measures import (
 )
 from localgraphs.verify import random_bounded_tree, random_sparse_graph
 
-from oracles import partition_by_isomorphism
+from oracles import partition_by_isomorphism, unimodular_all_pairs_oracle
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 AB1 = MarkAlphabets(("s",), ("a",))
@@ -221,18 +221,54 @@ print(report.holds, report.witness.hex(), report.imbalance)
     assert outputs.pop().startswith("False ")
 
 
+def _mix(parts):
+    """The mixture sum_i t_i mu_i of weighted measures (t_i, mu_i)."""
+    atoms, reps = {}, {}
+    for t, mu in parts:
+        for a, p in mu.atoms.items():
+            atoms[a] = atoms.get(a, Fraction(0)) + t * p
+        reps.update(mu.reps)
+    return LocalMeasure(atoms, reps)
+
+
 def test_mixture_of_empiricals_is_unimodular():
     rng = random.Random(29)
     g1 = random_marked(rng, 6)
     g2 = random_marked(rng, 9)
     mu1 = empirical_distribution(g1)
     mu2 = empirical_distribution(g2)
-    atoms = {}
-    for src, w in ((mu1, Fraction(1, 3)), (mu2, Fraction(2, 3))):
-        for a, p in src.atoms.items():
-            atoms[a] = atoms.get(a, Fraction(0)) + w * p
-    reps = {**mu2.reps, **mu1.reps}
-    assert check_unimodular(LocalMeasure(atoms, reps)).holds
+    assert check_unimodular(_mix([(Fraction(1, 3), mu1), (Fraction(2, 3), mu2)])).holds
+
+
+def test_edge_pair_check_matches_all_pairs_oracle():
+    # U(G), U(G) with one atom's weight scaled by 3/2, and mixtures of U(G)s:
+    # balancing edges decides as balancing every pair (involution invariance)
+    rng = random.Random(37)
+    empirical, perturbed = [], []
+    while len(perturbed) < 200:
+        n = rng.randint(2, 12)
+        g = random_sparse_graph(rng, n) if len(empirical) % 2 else random_marked(rng, n)
+        mu = empirical_distribution(g)
+        empirical.append(mu)
+        if len(mu.atoms) > 1:
+            heavy = rng.choice(mu.support())
+            raw = {a: w * (Fraction(3, 2) if a == heavy else 1) for a, w in mu.atoms.items()}
+            total = sum(raw.values())
+            perturbed.append(LocalMeasure({a: w / total for a, w in raw.items()}, mu.reps))
+    mixtures = [
+        _mix([(Fraction(1, 3), empirical[i]), (Fraction(2, 3), empirical[i + 1])])
+        for i in range(0, 60, 2)
+    ]
+    path = build_graph(3, {(0, 1): ("-", "-"), (1, 2): ("-", "-")})
+    crafted = measure_from_pairs([(RootedMarkedGraph(path, 0), Fraction(1))])
+    verdicts = {}
+    families = {"empirical": empirical, "perturbed": perturbed, "mixture": mixtures, "crafted": [crafted]}
+    for name, family in families.items():
+        verdicts[name] = [check_unimodular(mu).holds for mu in family]
+        assert verdicts[name] == [unimodular_all_pairs_oracle(mu).holds for mu in family]
+    assert all(verdicts["empirical"]) and all(verdicts["mixture"])
+    assert verdicts["perturbed"].count(False) > len(perturbed) * 3 // 4
+    assert verdicts["crafted"] == [False]
 
 
 def _corpus(rng, count=4):
