@@ -199,7 +199,7 @@ def cmd_cm(args) -> int:
     with open(args.cds) as fh:
         D = read_cds(fh.read())
     rng = random.Random(args.seed)
-    if args.trials:
+    if args.trials is not None:
         est = estimate_alpha_h(D, args.girth, args.trials, rng)
         print(f"estimate={est.estimate!r}")
         print(f"ci_low={est.low!r}")

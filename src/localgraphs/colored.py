@@ -157,6 +157,30 @@ def colored_degree_sequence_of(g: ColoredMultigraph) -> ColoredDegreeSequence:
 Pairing = list[tuple[Color, list[int], list[int]]]
 
 
+def _shuffle(x: list, rng: random.Random) -> None:
+    """rng.shuffle(x), with Random._randbelow inlined: the same getrandbits(k)
+    calls in the same order, so the same permutation and the same final state.
+    Positions i whose bound i + 1 has one bit length k form a run, inside
+    which k stays fixed.  A generator that draws integers another way
+    (a subclass overriding random() or shuffle) uses its own shuffle."""
+    cls = type(rng)
+    if (cls._randbelow is not random.Random._randbelow_with_getrandbits
+            or cls.shuffle is not random.Random.shuffle):
+        rng.shuffle(x)
+        return
+    getrandbits = rng.getrandbits
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the smallest i with (i + 1).bit_length() == k
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = low - 1
+
+
 def _draw(half_edges: dict[Color, list[int]], rng: random.Random) -> Pairing:
     """Walking half_edges in its sorted color order, shuffle a fresh copy of W_c
     per diagonal color (paired consecutively) and of W_conj(c) per pair c < conj(c)."""
@@ -164,11 +188,11 @@ def _draw(half_edges: dict[Color, list[int]], rng: random.Random) -> Pairing:
     for c, w in half_edges.items():
         if c[0] == c[1]:
             w = w[:]
-            rng.shuffle(w)
+            _shuffle(w, rng)
             pairing.append((c, w[0::2], w[1::2]))
         elif c[0] < c[1]:
             wb = half_edges[(c[1], c[0])][:]
-            rng.shuffle(wb)
+            _shuffle(wb, rng)
             pairing.append((c, w, wb))
     return pairing
 
@@ -356,12 +380,18 @@ def _unhex(text: str) -> bytes:
 
 
 def write_cds(D: ColoredDegreeSequence) -> str:
+    """The colors with a positive count and their conjugates, plus the
+    diagonal color of each F-element that none of them names, so that
+    read_cds gives back the same ColorSet (read_cds sorts F-elements, as
+    color_graph does)."""
     present: set[Color] = set()
     for row in D.degrees:
         for c, k in row:
             if k:
                 present.add(c)
                 present.add(ColorSet.conjugate(c))
+    named = {i for c in present for i in c}
+    present.update((i, i) for i in range(len(D.colors.f_elements)) if i not in named)
     order = sorted(present)
     ids = {c: i + 1 for i, c in enumerate(order)}
     fel = D.colors.f_elements

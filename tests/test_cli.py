@@ -173,6 +173,14 @@ def test_cm_sampling_and_alpha(tmp_path, capsys):
     assert "estimate=" in out2 and "trials=200" in out2
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_cm_without_positive_trials_exits_one(tmp_path, capsys, trials):
+    cds_path = tmp_path / "d.cds"
+    cds_path.write_text("cds 2 1\ncolor 1 a - a - 1\nv 1 1:1\nv 2 1:1\n")
+    code, out, err = run(capsys, "cm", "--cds", str(cds_path), "--seed", "1", "--trials", trials)
+    assert (code, out, err) == (1, "", "error: trials must be >= 1\n")
+
+
 def test_entropy_from_inputs_file(tmp_path, capsys):
     inputs = tmp_path / "rates.txt"
     inputs.write_text(

@@ -9,6 +9,7 @@ from localgraphs.colored import (
     ColoredDegreeSequence,
     ColoredMultigraph,
     _girth_at_most,
+    _shuffle,
     color_graph,
     colored_degree_sequence_of,
     estimate_alpha_h,
@@ -279,6 +280,17 @@ def test_cds_zero_counts_do_not_break_equality():
     assert read_cds(write_cds(D)) == D
 
 
+def test_cds_round_trip_keeps_a_color_used_only_with_zero_counts():
+    # F-element c appears only in colours 2 and 3, whose one count is zero
+    text = (
+        "cds 2 3\ncolor 1 a - a - 1\ncolor 2 a - c - 3\ncolor 3 c - a - 2\n"
+        "v 1 1:1 2:0\nv 2 1:1\n"
+    )
+    D = read_cds(text)
+    assert D.colors.f_elements == (("a", b""), ("c", b""))
+    assert read_cds(write_cds(D)) == D
+
+
 def test_read_cds_rejects_garbage():
     with pytest.raises(InvalidSequence):
         read_cds("nope\n")
@@ -411,3 +423,49 @@ def test_from_maps_shares_equal_rows():
     assert D.half_edges() == unshared.half_edges()
     assert write_cds(D) == write_cds(unshared)
     assert read_cds(write_cds(D)) == D
+
+
+# lengths 2**k - 1, 2**k and 2**k + 1 start or end a run of one bit length
+SHUFFLE_LENGTHS = list(range(71)) + [1000, 4097]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shuffle_matches_random_shuffle_and_final_state(seed):
+    for n in SHUFFLE_LENGTHS:
+        expected, got = list(range(n)), list(range(n))
+        reference, rng = random.Random(seed), random.Random(seed)
+        reference.shuffle(expected)
+        _shuffle(got, rng)
+        assert got == expected, n
+        assert rng.getstate() == reference.getstate(), n
+
+
+class _LinearCongruential(random.Random):
+    """Overrides random() only, so Random draws integers through random()."""
+
+    def seed(self, a=None, version=2):
+        self.x = a or 0
+        super().seed(a, version)
+
+    def random(self):
+        self.x = (6364136223846793005 * self.x + 1442695040888963407) % 2**64
+        return self.x / 2**64
+
+
+class _ReversingShuffle(random.Random):
+    def shuffle(self, x):
+        x.reverse()
+
+
+@pytest.mark.parametrize("cls", [_LinearCongruential, _ReversingShuffle])
+def test_shuffle_falls_back_to_the_generator_s_own_shuffle(cls):
+    for n in (0, 1, 2, 31, 32, 33, 500):
+        expected, got = list(range(n)), list(range(n))
+        cls(9).shuffle(expected)
+        rng = cls(9)
+        _shuffle(got, rng)
+        assert got == expected, n
+    # the inlined path would read the Mersenne Twister stream instead
+    inlined = list(range(500))
+    random.Random(9).shuffle(inlined)
+    assert inlined != got
