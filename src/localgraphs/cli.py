@@ -217,7 +217,7 @@ def cmd_cm(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite:
-        by_name = {name: num for num, (name, _) in SUITES.items()}
+        by_name = {name: num for num, (name, _, _) in SUITES.items()}
         if args.suite not in by_name:
             raise LocalGraphsError(
                 f"unknown suite {args.suite!r}; choose from {sorted(by_name)}"

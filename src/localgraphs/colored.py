@@ -26,31 +26,15 @@ class ColorSet:
     f_elements: tuple[FElement, ...]
 
     def __post_init__(self):
-        if len(set(self.f_elements)) != len(self.f_elements):
-            raise ValueError("F-elements must be distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.f_elements) ** 2
-
-    def colors(self) -> list[Color]:
-        k = len(self.f_elements)
-        return [(i, j) for i in range(k) for j in range(k)]
+        # sorted, as color_graph and read_cds build them, so that a colour's
+        # indices survive write_cds and read_cds
+        fel = self.f_elements
+        if any(a >= b for a, b in zip(fel, fel[1:])):
+            raise ValueError("F-elements must be strictly increasing")
 
     @staticmethod
     def conjugate(c: Color) -> Color:
         return (c[1], c[0])
-
-    def diagonal(self) -> list[Color]:
-        return [(i, i) for i in range(len(self.f_elements))]
-
-    def lower_pairs(self) -> list[Color]:
-        """One representative (i, j) with i < j per conjugate pair."""
-        k = len(self.f_elements)
-        return [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-    def index(self, f: FElement) -> int:
-        return self.f_elements.index(f)
 
 
 @dataclass
@@ -354,9 +338,10 @@ def color_graph(g: MarkedGraph, k: int) -> tuple[ColoredMultigraph, ColorSet]:
         directions[(u, v)] = _direction_element(g, u, v, k)
         directions[(v, u)] = _direction_element(g, v, u, k)
     colors = ColorSet(tuple(sorted(set(directions.values()))))
+    index = {f: i for i, f in enumerate(colors.f_elements)}
     cm = ColoredMultigraph(g.n, colors)
     for (u, v) in g.edges:
-        c = (colors.index(directions[(u, v)]), colors.index(directions[(v, u)]))
+        c = (index[directions[(u, v)]], index[directions[(v, u)]])
         cm.add(c, u, v)
         cm.add(ColorSet.conjugate(c), v, u)
     return cm, colors
@@ -463,7 +448,7 @@ def read_cds(text: str) -> ColoredDegreeSequence:
 
 def mcb(tau: tuple[str, ...], h: ColoredMultigraph, alphabets: MarkAlphabets) -> MarkedGraph:
     """Marked color-blind version of (tau, h); inverse of color_graph."""
-    if _filtered_edges(_colorblind_pairing(h), h.n, 2) is None:
+    if not is_colored_graph(h, 2):
         raise InconsistentColors("colorblind version is not simple")
     marks: dict[tuple[int, int], tuple[str, str]] = {}
     fel = h.colors.f_elements

@@ -15,7 +15,7 @@ from typing import Sequence, TextIO
 
 from .errors import InvalidSequence, RangeViolation
 from .marks import chi2_leq, fold_leq, parse_law, read_key_values
-from .measures import LocalMeasure, project_unmarked, truncate_measure
+from .measures import LocalMeasure
 
 INF = float("inf")
 #: Largest final-term deviation ``check_adapted`` accepts for a limit condition.
@@ -176,11 +176,14 @@ def rate_I_PdQ(
     sigma: TaggedValue,
     dvec: AverageDegreeVector,
     Q: dict,
-    rho1_unmarked: LocalMeasure,
+    mu: LocalMeasure,
     P: dict,
 ) -> float:
-    """Degree-conditioned rate: finite only when the root-degree law is P."""
-    proj = degree_projection(rho1_unmarked)
+    """Degree-conditioned rate: finite only when the root-degree law is P.
+
+    ``mu`` is a measure whose root-degree law is compared with P; truncating
+    it at depth >= 1 or dropping its marks first leaves that law unchanged."""
+    proj = degree_projection(mu)
     target = {k: Fraction(v) for k, v in P.items() if Fraction(v) != 0}
     if proj != target:
         return INF
@@ -207,8 +210,7 @@ def rate_lambda(
     if d == 0:
         return INF
     mu_dvec = AverageDegreeVector(dict(stats.dvec))
-    rho1 = project_unmarked(truncate_measure(stats.mu, 1))
-    base = rate_I_PdQ(j1, sigma, mu_dvec, stats.pi, rho1, P)
+    base = rate_I_PdQ(j1, sigma, mu_dvec, stats.pi, stats.mu, P)
     if base == INF:
         return INF
     # alpha and chi2_leq(chi) both order the pairs by chi's keys

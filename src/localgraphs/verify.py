@@ -1,8 +1,9 @@
 """End-to-end verification suites.
 
 Each suite exercises one of the headline finite identities or property
-batteries and returns a pass/fail result with a short detail string.  The
-suites are deterministic: every randomized batch runs from a fixed seed.
+batteries and returns (passed, short detail string); ``run_suites`` times
+them.  The suites are deterministic: every randomized batch runs from a
+fixed seed.
 """
 from __future__ import annotations
 
@@ -13,16 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .canonical import depth_classes, local_distance
-from .colored import (
-    ColorSet,
-    ColoredDegreeSequence,
-    color_graph,
-    colored_degree_sequence_of,
-    estimate_alpha_h,
-    mcb,
-    sample_filtered_cm,
-)
+from .canonical import local_distance
+from .colored import ColorSet, ColoredDegreeSequence, estimate_alpha_h
 from .enumeration import enumerate_marked, enumerate_marked_counts, marked_class_size_formula
 from .errors import CountMismatch
 from .graphs import (
@@ -40,6 +33,7 @@ from .measures import (
     empirical_distribution,
     check_unimodular,
     measure_from_pairs,
+    project_unmarked,
     truncate_measure,
 )
 from .rates import (
@@ -145,8 +139,7 @@ def _counting_grid():
     return grid
 
 
-def suite_counting() -> CriterionResult:
-    t0 = time.monotonic()
+def suite_counting() -> tuple[bool, str]:
     grid = _counting_grid()
     failures = []
     for ell, cv in grid:
@@ -157,16 +150,13 @@ def suite_counting() -> CriterionResult:
     detail = f"{len(grid)} instances"
     if failures:
         detail += f"; first failure {failures[0]}"
-    return CriterionResult(
-        1, "counting identity", not failures, detail, time.monotonic() - t0
-    )
+    return not failures, detail
 
 
 # --- 2: mixture identity ----------------------------------------------------
 
 
-def suite_mixture() -> CriterionResult:
-    t0 = time.monotonic()
+def suite_mixture() -> tuple[bool, str]:
     params2 = ModelParams(
         AB2,
         {"s": Fraction(1, 3), "t": Fraction(2, 3)},
@@ -179,12 +169,10 @@ def suite_mixture() -> CriterionResult:
         {"a": Fraction(2, 5), "b": Fraction(3, 5)},
     )
     r4 = mixture_identity_check(DegreeSequence((1, 1, 1, 1)), params4)
-    ok = r2.holds and r4.holds
-    detail = (
+    return r2.holds and r4.holds, (
         f"n=2: {r2.outcomes} outcomes, total {r2.total_probability}; "
         f"n=4: {r4.outcomes} outcomes, total {r4.total_probability}"
     )
-    return CriterionResult(2, "mixture identity", ok, detail, time.monotonic() - t0)
 
 
 # --- 3: sampler uniformity --------------------------------------------------
@@ -197,8 +185,7 @@ def _within_four_se(counts: dict, trials: int, k: int) -> tuple[bool, float]:
     return len(counts) == k and worst < 4 * se, worst / se
 
 
-def suite_uniformity() -> CriterionResult:
-    t0 = time.monotonic()
+def suite_uniformity() -> tuple[bool, str]:
     rng = random.Random(20240)
     ell = DegreeSequence((1, 1, 1, 1))
     counts: dict = {}
@@ -216,12 +203,9 @@ def suite_uniformity() -> CriterionResult:
         key = (g.tau, tuple(sorted(g.xi.items())))
         marked_counts[key] = marked_counts.get(key, 0) + 1
     ok2, dev2 = _within_four_se(marked_counts, UNIFORMITY_TRIALS, 4)
-    detail = (
+    return ok1 and ok2, (
         f"plain: {len(counts)} outcomes, worst {dev1:.2f} se; "
         f"marked: {len(marked_counts)} outcomes, worst {dev2:.2f} se"
-    )
-    return CriterionResult(
-        3, "sampler uniformity", ok1 and ok2, detail, time.monotonic() - t0
     )
 
 
@@ -271,16 +255,23 @@ def lp_subset_oracle(mu: LocalMeasure, nu: LocalMeasure) -> Fraction:
     return best
 
 
-def random_rooted(rng: random.Random, max_n: int = 5) -> RootedMarkedGraph:
-    n = rng.randint(1, max_n)
+def random_marked(
+    rng: random.Random, n: int, p: float, alphabets: MarkAlphabets
+) -> MarkedGraph:
+    """G(n, p) with uniform marks: each pair u < v in turn is an edge with
+    probability p and draws its two edge marks, then each vertex its mark."""
     marks = {}
     for u in range(n):
         for v in range(u + 1, n):
-            if rng.random() < 0.5:
-                marks[(u, v)] = (rng.choice(AB2.xi), rng.choice(AB2.xi))
-    tau = tuple(rng.choice(AB2.theta) for _ in range(n))
-    g = build_graph(n, marks, tau, AB2)
-    return rooted_component(g, rng.randrange(n))
+            if rng.random() < p:
+                marks[(u, v)] = (rng.choice(alphabets.xi), rng.choice(alphabets.xi))
+    tau = tuple(rng.choice(alphabets.theta) for _ in range(n))
+    return build_graph(n, marks, tau, alphabets)
+
+
+def random_rooted(rng: random.Random, max_n: int = 5) -> RootedMarkedGraph:
+    n = rng.randint(1, max_n)
+    return rooted_component(random_marked(rng, n, 0.5, AB2), rng.randrange(n))
 
 
 def random_measure(rng: random.Random) -> LocalMeasure:
@@ -293,8 +284,7 @@ def random_measure(rng: random.Random) -> LocalMeasure:
     return measure_from_pairs(pairs)
 
 
-def suite_lp_oracle() -> CriterionResult:
-    t0 = time.monotonic()
+def suite_lp_oracle() -> tuple[bool, str]:
     rng = random.Random(411)
     mismatches = 0
     for _ in range(LP_ORACLE_PAIRS):
@@ -302,32 +292,18 @@ def suite_lp_oracle() -> CriterionResult:
         nu = random_measure(rng)
         if levy_prokhorov(mu, nu) != lp_subset_oracle(mu, nu):
             mismatches += 1
-    return CriterionResult(
-        4,
-        "LP metric equals subset oracle",
-        mismatches == 0,
-        f"{LP_ORACLE_PAIRS} pairs, {mismatches} mismatches",
-        time.monotonic() - t0,
-    )
+    return mismatches == 0, f"{LP_ORACLE_PAIRS} pairs, {mismatches} mismatches"
 
 
 # --- 5: unimodularity of empirical measures ---------------------------------
 
 
 def random_sparse_graph(rng: random.Random, n: int) -> MarkedGraph:
-    marks = {}
     # sparse: expected degree about 1.4 keeps components small
-    p = 1.4 / max(1, n - 1)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                marks[(u, v)] = (rng.choice(AB2.xi), rng.choice(AB2.xi))
-    tau = tuple(rng.choice(AB2.theta) for _ in range(n))
-    return build_graph(n, marks, tau, AB2)
+    return random_marked(rng, n, 1.4 / max(1, n - 1), AB2)
 
 
-def suite_unimodularity() -> CriterionResult:
-    t0 = time.monotonic()
+def suite_unimodularity() -> tuple[bool, str]:
     rng = random.Random(977)
     bad = 0
     for _ in range(UNIMODULARITY_GRAPHS):
@@ -339,12 +315,10 @@ def suite_unimodularity() -> CriterionResult:
     point = measure_from_pairs([(RootedMarkedGraph(path, 0), Fraction(1))])
     report = check_unimodular(point)
     crafted_ok = (not report.holds) and report.witness is not None
-    ok = bad == 0 and crafted_ok
-    detail = (
+    return bad == 0 and crafted_ok, (
         f"{UNIMODULARITY_GRAPHS} random graphs, {bad} failures; "
         f"crafted witness found: {crafted_ok}"
     )
-    return CriterionResult(5, "unimodularity of U(G)", ok, detail, time.monotonic() - t0)
 
 
 # --- 6: reconstruction from colored samples ---------------------------------
@@ -367,27 +341,17 @@ def random_bounded_tree(rng: random.Random, n: int) -> MarkedGraph:
     return build_graph(n, marks, tau, AB2)
 
 
-def suite_reconstruction() -> CriterionResult:
-    t0 = time.monotonic()
+def suite_reconstruction() -> tuple[bool, str]:
+    """Surgery onto the tree's own degrees must give back every depth-k class."""
     rng = random.Random(6021)
     failures = 0
     for trial in range(RECONSTRUCTION_PAIRS):
         k = 1 + trial % 2
         n = rng.randint(40, 120) if k == 2 else rng.randint(60, 300)
         g = random_bounded_tree(rng, n)
-        colored, _ = color_graph(g, k)
-        D = colored_degree_sequence_of(colored)
-        h, _ = sample_filtered_cm(D, 2 * k + 1, rng, 20_000)
-        rebuilt = mcb(g.tau, h, g.alphabets)
-        if depth_classes(rebuilt, k) != depth_classes(g, k):
-            failures += 1
-    return CriterionResult(
-        6,
-        "depth-k class reconstruction",
-        failures == 0,
-        f"{RECONSTRUCTION_PAIRS} pairs, {failures} failures",
-        time.monotonic() - t0,
-    )
+        _, report = modify_graph(g, DegreeSequence(g.degrees()), k, rng, 20_000)
+        failures += report.modified_vertices != 0
+    return failures == 0, f"{RECONSTRUCTION_PAIRS} pairs, {failures} failures"
 
 
 # --- 7: transport postconditions --------------------------------------------
@@ -457,8 +421,7 @@ def transport_instance(rng: random.Random, i: int) -> tuple[DegreeMatrix, Target
     return A, _perturb_target(rng, column_degrees(A), rng.randint(1, 3), L + 2)
 
 
-def suite_transport() -> CriterionResult:
-    t0 = time.monotonic()
+def suite_transport() -> tuple[bool, str]:
     rng = random.Random(7301)
     failures = 0
     for i in range(TRANSPORT_INSTANCES):
@@ -474,19 +437,16 @@ def suite_transport() -> CriterionResult:
         and sum(out.a[0]) == sum(out.a[1])
         and out.max_entry() <= 4
     )
-    ok = failures == 0 and example_ok
-    detail = (
+    return failures == 0 and example_ok, (
         f"{TRANSPORT_INSTANCES} instances, {failures} failures; "
         f"worked example ok: {example_ok}"
     )
-    return CriterionResult(7, "transport postconditions", ok, detail, time.monotonic() - t0)
 
 
 # --- 8: surgery pipeline ----------------------------------------------------
 
 
-def suite_surgery() -> CriterionResult:
-    t0 = time.monotonic()
+def suite_surgery() -> tuple[bool, str]:
     rng = random.Random(88)
     gamma = random_bounded_tree(rng, SURGERY_N)
     ell = list(gamma.degrees())
@@ -499,13 +459,11 @@ def suite_surgery() -> CriterionResult:
     )
     displacement_ok = lp <= Fraction(report.modified_vertices, SURGERY_N)
     within_bound = report.modified_vertices <= report.propagated_bound
-    ok = report.degree_exact and displacement_ok and within_bound
-    detail = (
+    return report.degree_exact and displacement_ok and within_bound, (
         f"modified {report.modified_vertices}/{SURGERY_N} (bound {report.propagated_bound}), "
         f"transport changed {report.transport_changed}, d_LP {lp}, "
         f"attempts {report.attempts}"
     )
-    return CriterionResult(8, "surgery pipeline", ok, detail, time.monotonic() - t0)
 
 
 # --- 9: girth-filter acceptance stays positive ------------------------------
@@ -522,8 +480,7 @@ def _alpha_profile(n: int) -> ColoredDegreeSequence:
     return ColoredDegreeSequence.from_maps(colors, maps)
 
 
-def suite_alpha() -> CriterionResult:
-    t0 = time.monotonic()
+def suite_alpha() -> tuple[bool, str]:
     rng = random.Random(933)
     estimates = []
     for n in (200, 400, 800):
@@ -533,20 +490,16 @@ def suite_alpha() -> CriterionResult:
         max(a.low, b.low) <= min(a.high, b.high)
         for a, b in combinations(estimates, 2)
     )
-    detail = "; ".join(
+    return positive and overlap, "; ".join(
         f"n={n}: {e.estimate:.4f} [{e.low:.4f}, {e.high:.4f}]"
         for n, e in zip((200, 400, 800), estimates)
-    )
-    return CriterionResult(
-        9, "girth filter acceptance positive", positive and overlap, detail, time.monotonic() - t0
     )
 
 
 # --- 10: rate-function algebra ----------------------------------------------
 
 
-def suite_rates() -> CriterionResult:
-    t0 = time.monotonic()
+def suite_rates() -> tuple[bool, str]:
     checks = []
     checks.append(abs(s_value(math.e)) < 1e-12)
     checks.append(abs(s_value(1) - 0.5) < 1e-12)
@@ -568,8 +521,6 @@ def suite_rates() -> CriterionResult:
     vartheta = {"s": Fraction(1)}
     chi = {"a": Fraction(1)}
     lam = rate_lambda(P, vartheta, chi, dvec, sigma, j1, stats)
-    from .measures import project_unmarked
-
     base = rate_I_PdQ(
         j1,
         sigma,
@@ -595,28 +546,35 @@ def suite_rates() -> CriterionResult:
         gaps.append(abs((math.log(count) - n * math.log(n)) / n - target))
     checks.append(gaps[0] >= gaps[1] >= gaps[2])
 
-    ok = all(checks)
-    detail = f"{sum(checks)}/{len(checks)} checks; gap sequence {[f'{g:.3f}' for g in gaps]}"
-    return CriterionResult(10, "rate-function algebra", ok, detail, time.monotonic() - t0)
+    return all(checks), (
+        f"{sum(checks)}/{len(checks)} checks; gap sequence {[f'{g:.3f}' for g in gaps]}"
+    )
 
 
+#: criterion number -> (short name for ``--suite``, long name, suite)
 SUITES = {
-    1: ("counting", suite_counting),
-    2: ("mixture", suite_mixture),
-    3: ("uniformity", suite_uniformity),
-    4: ("lp-oracle", suite_lp_oracle),
-    5: ("unimodularity", suite_unimodularity),
-    6: ("reconstruction", suite_reconstruction),
-    7: ("transport", suite_transport),
-    8: ("surgery", suite_surgery),
-    9: ("alpha", suite_alpha),
-    10: ("rates", suite_rates),
+    1: ("counting", "counting identity", suite_counting),
+    2: ("mixture", "mixture identity", suite_mixture),
+    3: ("uniformity", "sampler uniformity", suite_uniformity),
+    4: ("lp-oracle", "LP metric equals subset oracle", suite_lp_oracle),
+    5: ("unimodularity", "unimodularity of U(G)", suite_unimodularity),
+    6: ("reconstruction", "depth-k class reconstruction", suite_reconstruction),
+    7: ("transport", "transport postconditions", suite_transport),
+    8: ("surgery", "surgery pipeline", suite_surgery),
+    9: ("alpha", "girth filter acceptance positive", suite_alpha),
+    10: ("rates", "rate-function algebra", suite_rates),
 }
 
 
 def run_suites(numbers=None) -> list[CriterionResult]:
-    selected = sorted(SUITES) if numbers is None else sorted(numbers)
-    return [SUITES[i][1]() for i in selected]
+    """Run the numbered suites (all by default) in order, timing each."""
+    results = []
+    for i in sorted(SUITES) if numbers is None else sorted(numbers):
+        _, name, suite = SUITES[i]
+        t0 = time.monotonic()
+        passed, detail = suite()
+        results.append(CriterionResult(i, name, passed, detail, time.monotonic() - t0))
+    return results
 
 
 def format_result(r: CriterionResult) -> str:

@@ -21,6 +21,7 @@ from localgraphs.graphs import (
     rooted_component,
     truncate,
 )
+from localgraphs.verify import random_marked
 
 from oracles import isomorphic_oracle, local_distance_oracle, partition_by_isomorphism
 from test_lp import deep_rooted
@@ -31,14 +32,7 @@ AB1 = MarkAlphabets(("s",), ("a",))
 
 def random_rooted(rng, max_n=9, p=0.35, ab=AB):
     n = rng.randint(1, max_n)
-    marks = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                marks[(u, v)] = (rng.choice(ab.xi), rng.choice(ab.xi))
-    tau = tuple(rng.choice(ab.theta) for _ in range(n))
-    g = build_graph(n, marks, tau, ab)
-    return rooted_component(g, rng.randrange(n))
+    return rooted_component(random_marked(rng, n, p, ab), rng.randrange(n))
 
 
 def permuted_copy(r: RootedMarkedGraph, rng) -> RootedMarkedGraph:

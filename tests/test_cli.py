@@ -62,6 +62,15 @@ def test_enumerate_members_streams_them(capsys):
     assert out.strip().endswith("count 3")
 
 
+def test_verify_runs_a_suite_by_name(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "mixture")
+    assert code == 0
+    assert out.startswith("[PASS] criterion 2 (mixture identity): n=2: 16 outcomes")
+    code, _, err = run(capsys, "verify", "--suite", "nosuch")
+    assert code == 1
+    assert err.startswith("error: unknown suite 'nosuch'")
+
+
 def test_unknown_flag_exits_one(capsys):
     code, _, err = run(capsys, "enumerate", "--degrees", "1,1", "--bogus")
     assert code == 1

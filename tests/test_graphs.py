@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from localgraphs import verify
 from localgraphs.errors import NonGraphical
 from localgraphs.graphs import (
     DegreeSequence,
@@ -22,13 +23,7 @@ AB = MarkAlphabets(("s", "t"), ("a", "b"))
 
 
 def random_marked(rng, n, p=0.3):
-    marks = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                marks[(u, v)] = (rng.choice(AB.xi), rng.choice(AB.xi))
-    tau = tuple(rng.choice(AB.theta) for _ in range(n))
-    return build_graph(n, marks, tau, AB)
+    return verify.random_marked(rng, n, p, AB)
 
 
 def test_marked_graph_validation():

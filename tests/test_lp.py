@@ -5,7 +5,12 @@ from localgraphs.canonical import local_distance, radius_profile
 from localgraphs.graphs import MarkAlphabets, MarkedGraph, build_graph, rooted_component
 from localgraphs.lp_distance import levy_prokhorov, max_flow
 from localgraphs.measures import empirical_distribution, measure_from_pairs
-from localgraphs.verify import lp_subset_oracle, random_bounded_tree, random_sparse_graph
+from localgraphs.verify import (
+    lp_subset_oracle,
+    random_bounded_tree,
+    random_marked,
+    random_sparse_graph,
+)
 
 from oracles import lp_flow_oracle
 
@@ -14,13 +19,7 @@ AB = MarkAlphabets(("s", "t"), ("a", "b"))
 
 def random_rooted(rng, max_n=6):
     n = rng.randint(1, max_n)
-    marks = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.35:
-                marks[(u, v)] = (rng.choice(AB.xi), rng.choice(AB.xi))
-    tau = tuple(rng.choice(AB.theta) for _ in range(n))
-    return rooted_component(build_graph(n, marks, tau, AB), rng.randrange(n))
+    return rooted_component(random_marked(rng, n, 0.35, AB), rng.randrange(n))
 
 
 def random_measure(rng, atoms=3):

@@ -27,6 +27,7 @@ from localgraphs.measures import (
     truncate_measure,
     write_measure,
 )
+from localgraphs import verify
 from localgraphs.verify import random_bounded_tree, random_sparse_graph
 
 from oracles import partition_by_isomorphism, unimodular_all_pairs_oracle
@@ -35,14 +36,8 @@ AB = MarkAlphabets(("s", "t"), ("a", "b"))
 AB1 = MarkAlphabets(("s",), ("a",))
 
 
-def random_marked(rng, n, p=0.3, ab=AB):
-    marks = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                marks[(u, v)] = (rng.choice(ab.xi), rng.choice(ab.xi))
-    tau = tuple(rng.choice(ab.theta) for _ in range(n))
-    return build_graph(n, marks, tau, ab)
+def random_marked(rng, n, p=0.3):
+    return verify.random_marked(rng, n, p, AB)
 
 
 def path_graph(n, ab=AB1):

@@ -169,6 +169,8 @@ def test_rate_I_PdQ_projects_the_degree_law():
     assert rate_I_PdQ(j1, sigma, dvec, {"s": 1.0}, rho1, {3: 1}) == float("inf")
     # zero entries of P are ignored
     assert rate_I_PdQ(j1, sigma, dvec, {"s": 1.0}, rho1, {2: 1, 5: 0}) == good
+    # the root-degree law needs no truncation or unmarking first
+    assert rate_I_PdQ(j1, sigma, dvec, {"s": 1.0}, mu, {2: 1}) == good
 
 
 def test_rate_lambda_matches_components_at_the_model():
