@@ -16,7 +16,7 @@ from localgraphs.colored import color_graph, colored_degree_sequence_of, write_c
 from localgraphs.graphs import DegreeSequence
 from localgraphs.marks import CountVectors
 from localgraphs.samplers import sample_uniform_marked
-from localgraphs.verify import AB2, _alpha_profile
+from localgraphs.verify import AB2, _alpha_profile, suite_alpha
 
 #: a 3-regular sequence on 300 vertices
 CUBIC = ",".join(["3"] * 300)
@@ -79,3 +79,11 @@ def test_sampling_output_is_pinned(tmp_path, capsys, name):
     assert (code, captured.err) == (0, "")
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
+
+def test_criterion9_detail_is_pinned():
+    passed, detail = suite_alpha()
+    assert passed
+    assert detail == (
+        "n=200: 0.0599 [0.0554, 0.0647]; n=400: 0.0589 [0.0545, 0.0637]; "
+        "n=800: 0.0633 [0.0587, 0.0682]"
+    )
