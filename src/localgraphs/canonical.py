@@ -9,11 +9,12 @@ alone.
 Trees are encoded with the classic bottom-up subtree-sorting scheme; a graph
 with a cycle goes through individualization-refinement with a
 minimal-certificate search.  Refinement sorts integer keys whose order is that
-of the (mark, mark, colour) triples, and the search skips any branch that an
-automorphism found so far maps onto an explored one, so it visits about one
-branch per orbit: a windmill of k triangles rooted at its centre costs
-milliseconds, where the full search tree has 2^k k! leaves.  Neither change
-moves a code: every certificate is the minimum over the full tree.
+of the (mark, mark, colour) triples and re-signs only the cells that can
+split, and the search skips any branch that an automorphism found so far maps
+onto an explored one, so it visits about one branch per orbit: a windmill of
+k triangles rooted at its centre costs milliseconds, where the full search
+tree has 2^k k! leaves.  None of this moves a code: every certificate is the
+minimum over the full tree.
 """
 from __future__ import annotations
 
@@ -38,18 +39,33 @@ class CanonicalClass:
         return cls(bytes.fromhex(s))
 
 
+def _edge_marks(g: MarkedGraph) -> list[tuple[int, int, str, str]]:
+    """Each edge (u, v) of g with its marks written for either end first:
+    (u, v, ".xi(u, v).xi(v, u)", ".xi(v, u).xi(u, v)").  Computed once per
+    graph object and kept with it, as ``neighbour_keys`` is."""
+    if "_edge_marks" not in vars(g):
+        xi = g.xi
+        table = [
+            (u, v, f".{xi[(u, v)]}.{xi[(v, u)]}", f".{xi[(v, u)]}.{xi[(u, v)]}")
+            for (u, v) in g.edges
+        ]
+        object.__setattr__(g, "_edge_marks", table)
+    return vars(g)["_edge_marks"]
+
+
 def _certificate(g: MarkedGraph, roots: tuple[int, ...], order: list[int]) -> str:
     """Serialize g under the vertex ordering ``order`` (new id = position)."""
-    pos = {v: i for i, v in enumerate(order)}
-    tau = ",".join(g.tau[v] for v in order)
-    edges = []
-    for (u, v) in g.edges:
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        edges.append(f"{a}.{b}.{g.xi[(order[a], order[b])]}.{g.xi[(order[b], order[a])]}")
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    tau = ",".join([g.tau[v] for v in order])
+    # each edge is written from its lower position, with that end's mark first
+    edges = [
+        f"{a}.{b}{fw}" if (a := pos[u]) < (b := pos[v]) else f"{b}.{a}{bw}"
+        for u, v, fw, bw in _edge_marks(g)
+    ]
     edges.sort()
-    rts = ",".join(str(pos[r]) for r in roots)
+    rts = ",".join([str(pos[r]) for r in roots])
     return f"n={g.n};r={rts};t={tau};e={'|'.join(edges)}"
 
 
@@ -102,7 +118,9 @@ def _preorder(
         while stack:
             v, p = stack.pop()
             order.append(v)
-            stack.extend((c, v) for c in kids[v] if c != p)
+            for c in kids[v]:
+                if c != p:
+                    stack.append((c, v))
         yield order
 
 
@@ -147,18 +165,58 @@ def neighbour_keys(g: MarkedGraph) -> NeighbourKeys:
     return vars(g)["_neighbour_keys"]
 
 
-def _refine(keys: NeighbourKeys, colors: list[int]) -> list[int]:
-    """Stable color refinement; new color ids are assigned by signature order."""
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted([k + colors[u] for u, k in row])))
-            for v, row in enumerate(keys)
-        ]
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
+def _refine(keys: NeighbourKeys, colors: list[int]) -> tuple[list[int], list[list[int]]]:
+    """Stable colour refinement: the colours, and the cells in colour order,
+    each in ascending vertex order.
+
+    Each round splits each cell by its members' sorted neighbour keys, parts
+    in key order, and refinement stops after a round that splits nothing.  A
+    cell's colour while refining is the number of vertices before it, so a
+    cell that does not split keeps its colour, and a round re-signs only the
+    cells next to a vertex whose colour the last round changed.
+    """
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        groups.setdefault(c, []).append(v)
+    col = [0] * len(colors)
+    cell_at: dict[int, list[int]] = {}  # each cell under its colour
+    start = 0
+    for c in sorted(groups):
+        cell_at[start] = cell = groups[c]
+        for v in cell:
+            col[v] = start
+        start += len(cell)
+    # every cell of two or more may split in the first round
+    check = [cell for cell in cell_at.values() if len(cell) > 1]
+    while check:
+        splits = []
+        for cell in check:
+            sigs = [tuple(sorted([k + col[u] for u, k in keys[v]])) for v in cell]
+            distinct = sorted(set(sigs))
+            if len(distinct) > 1:
+                rank = {s: i for i, s in enumerate(distinct)}
+                parts: list[list[int]] = [[] for _ in distinct]
+                for v, s in zip(cell, sigs):
+                    parts[rank[s]].append(v)
+                splits.append(parts)
+        # colours are read above and written only here, so rounds stay synchronous
+        moved = []
+        for parts in splits:
+            start = col[parts[0][0]]
+            for part in parts:
+                cell_at[start] = part
+                for v in part:
+                    col[v] = start
+                start += len(part)
+            # the first part keeps the cell's colour
+            moved += [v for part in parts[1:] for v in part]
+        touched = {col[u] for v in moved for u, _ in keys[v]}
+        check = [cell for c in touched if len(cell := cell_at[c]) > 1]
+    cells = [cell_at[c] for c in sorted(cell_at)]
+    for i, cell in enumerate(cells):
+        for v in cell:
+            col[v] = i
+    return col, cells
 
 
 def _orbits(autos: Iterable[list[int]], cell: list[int]) -> dict[int, int]:
@@ -195,13 +253,10 @@ def _ir_certificate(g: MarkedGraph, roots: tuple[int, ...]) -> tuple[str, list[l
     autos: list[list[int]] = []
 
     def search(colors: list[int], path: tuple[int, ...]) -> str:
-        colors = _refine(keys, colors)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        colors, cells = _refine(keys, colors)
+        target = next((cell for cell in cells if len(cell) > 1), None)
         if target is None:
-            order = sorted(range(g.n), key=colors.__getitem__)
+            order = [cell[0] for cell in cells]
             cert = _certificate(g, roots, order)
             first = leaves.setdefault(cert, order)
             if first is not order:

@@ -224,6 +224,11 @@ def cmd_verify(args) -> int:
             )
         numbers = [by_name[args.suite]]
     elif args.criterion:
+        for num in args.criterion:
+            if num not in SUITES:
+                raise LocalGraphsError(
+                    f"unknown criterion {num}; choose from {min(SUITES)}-{max(SUITES)}"
+                )
         numbers = args.criterion
     else:
         numbers = None

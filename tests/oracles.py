@@ -2,7 +2,7 @@
 
 Nothing here shares logic with the package's canonical-code machinery: the
 isomorphism oracle is a plain backtracking search over vertex bijections and
-the BFS is written from scratch, so agreement is meaningful evidence.  Four
+the BFS is written from scratch, so agreement is meaningful evidence.  Five
 exceptions each take one piece from the package and check another against a
 slower reference:
 
@@ -10,6 +10,8 @@ slower reference:
   d_LP against the general max-flow formulation;
 - ``ir_certificate_oracle`` takes the certificate serialization and checks the
   pruned search against the full one;
+- ``refine_oracle`` takes the neighbour keys and checks the cell-wise
+  refinement against the round-synchronous one it replaced;
 - ``unimodular_all_pairs_oracle`` takes the pair classes and balances every
   ordered pair of a component, where the package balances edges only;
 - ``dense_transport`` takes the matrix and target types and the postcondition
@@ -298,6 +300,37 @@ def ir_certificate_oracle(g: MarkedGraph, roots: tuple[int, ...]) -> str:
     ranking = {s: i for i, s in enumerate(sorted(set(labels)))}
     return search([ranking[s] for s in labels])
 
+
+def refine_oracle(keys, colors: list[int]) -> list[int]:
+    """Round-synchronous colour refinement: every round re-signs every vertex
+    by (colour, sorted neighbour keys) and renumbers by signature order, until
+    a round changes no colour."""
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted([k + colors[u] for u, k in row])))
+            for v, row in enumerate(keys)
+        ]
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+def certificate_oracle(g: MarkedGraph, roots: tuple[int, ...], order: list[int]) -> str:
+    """The certificate of g under ``order`` (new id = position), written with
+    a position dict and the edge marks looked up per call."""
+    pos = {v: i for i, v in enumerate(order)}
+    tau = ",".join(g.tau[v] for v in order)
+    edges = []
+    for (u, v) in g.edges:
+        a, b = pos[u], pos[v]
+        if a > b:
+            a, b = b, a
+        edges.append(f"{a}.{b}.{g.xi[(order[a], order[b])]}.{g.xi[(order[b], order[a])]}")
+    edges.sort()
+    rts = ",".join(str(pos[r]) for r in roots)
+    return f"n={g.n};r={rts};t={tau};e={'|'.join(edges)}"
 
 # --- the dense colours x n transport ------------------------------------------
 

@@ -71,6 +71,14 @@ def test_verify_runs_a_suite_by_name(capsys):
     assert err.startswith("error: unknown suite 'nosuch'")
 
 
+@pytest.mark.parametrize("number", ["11", "0", "-1"])
+def test_verify_unknown_criterion_exits_one(capsys, number):
+    code, out, err = run(capsys, "verify", "--criterion", "2", "--criterion", number)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: unknown criterion {number}; choose from 1-10\n"
+
+
 def test_unknown_flag_exits_one(capsys):
     code, _, err = run(capsys, "enumerate", "--degrees", "1,1", "--bogus")
     assert code == 1

@@ -13,16 +13,19 @@ import pytest
 from networkx.algorithms.isomorphism import categorical_edge_match, categorical_node_match
 
 from localgraphs.canonical import (
+    _certificate,
+    _edge_marks,
     _ir_certificate,
+    _refine,
     canonical_code,
     canonicalize,
     neighbour_keys,
     rooted_classes,
 )
 from localgraphs.graphs import MarkAlphabets, RootedMarkedGraph, ball, build_graph
-from localgraphs.verify import random_sparse_graph
+from localgraphs.verify import random_marked, random_sparse_graph
 
-from oracles import ir_certificate_oracle
+from oracles import certificate_oracle, ir_certificate_oracle, refine_oracle
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 
@@ -123,6 +126,49 @@ def test_neighbour_keys_are_computed_once_per_graph():
     g = windmill(3)
     assert neighbour_keys(g) is neighbour_keys(g)
     assert neighbour_keys(g) == neighbour_keys(windmill(3))
+
+
+def test_edge_marks_are_computed_once_per_graph():
+    g = windmill(3)
+    assert _edge_marks(g) is _edge_marks(g)
+    assert _edge_marks(g) == _edge_marks(windmill(3))
+
+
+def check_refine(keys, colors):
+    """_refine gives the oracle's colours, and its cells are the colour
+    classes in colour order, each in ascending vertex order."""
+    refined, cells = _refine(keys, colors)
+    assert refined == refine_oracle(keys, colors), colors
+    assert [sorted(cell) for cell in cells] == cells
+    for i, cell in enumerate(cells):
+        assert [refined[v] for v in cell] == [i] * len(cell)
+    assert sorted(v for cell in cells for v in cell) == list(range(len(colors)))
+    return refined
+
+
+@pytest.mark.parametrize("name,g,singles", [pytest.param(*c, id=c[0]) for c in CASES])
+def test_refine_matches_round_synchronous_oracle(name, g, singles):
+    keys = neighbour_keys(g)
+    ranking = {t: i for i, t in enumerate(sorted(set(g.tau)))}
+    colors = check_refine(keys, [ranking[t] for t in g.tau])
+    # individualizing v gives it colour n, past every other colour
+    for v in range(g.n):
+        check_refine(keys, colors[:v] + [g.n] + colors[v + 1:])
+
+
+LONG_MARKS = MarkAlphabets(("s", "tt", "uvw"), ("ab", "c", "xyz"))
+
+
+def test_certificate_matches_oracle():
+    # 12 or more vertices, so positions of two digits sort as strings
+    rng = random.Random(15)
+    for n in (12, 13, 17, 24):
+        g = random_marked(rng, n, 0.3, LONG_MARKS)
+        for _ in range(6):
+            order = list(range(n))
+            rng.shuffle(order)
+            for roots in ((rng.randrange(n),), (rng.randrange(n), rng.randrange(n))):
+                assert _certificate(g, roots, order) == certificate_oracle(g, roots, order)
 
 
 def relabelled(g, perm):
