@@ -94,6 +94,8 @@ def cmd_sample(args) -> int:
         return 0
     if args.degrees is None or args.seed is None:
         raise LocalGraphsError("--degrees and --seed are required without --config")
+    if args.count < 1:
+        raise LocalGraphsError("count must be >= 1")
     rng = random.Random(args.seed)
     ell = _parse_degrees(args.degrees)
     for _ in range(args.count):

@@ -1,21 +1,18 @@
 """Brute-force exact enumeration of graph classes at tiny n.
 
-Ground truth for uniformity tests, the counting identity on marked graph
-classes, and finite-n entropy estimates.  Everything here counts labeled
-objects; enumeration order is deterministic (lexicographic over edge sets,
-then mark assignments).
+Ground truth for uniformity tests and the counting identity on marked graph
+classes.  Everything here counts labeled objects; enumeration order is
+deterministic (lexicographic over edge sets, then mark assignments).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator
 
 from .errors import CapExceeded
 from .graphs import DegreeSequence, MarkedGraph, build_graph
 from .marks import CountVectors
-from .measures import LocalMeasure, empirical_distribution
 
 DEFAULT_VERTEX_CAP = 8
 
@@ -199,59 +196,3 @@ def marked_class_size_formula(ell: DegreeSequence, cv: CountVectors) -> int:
     t_u = type_class_size(sorted(cv.u.values()))
     t_m = type_class_size(sorted(cv.m_leq.values()))
     return g_count * t_u * t_m * 2 ** cv.off_diagonal_total
-
-
-def degree_law_of(g: MarkedGraph) -> dict[int, Fraction]:
-    law: dict[int, Fraction] = {}
-    for v in range(g.n):
-        d = g.degree(v)
-        law[d] = law.get(d, Fraction(0)) + Fraction(1, g.n)
-    return law
-
-
-def count_ball_restricted(
-    n: int,
-    cv: CountVectors,
-    mu: LocalMeasure,
-    eps: Fraction,
-    degree_law: dict[int, Fraction] | None = None,
-) -> int:
-    """Members of the (m, u) class with d_LP(U(G), mu) < eps, exactly.
-
-    ``degree_law`` optionally restricts to graphs whose empirical degree
-    distribution equals the given law.
-    """
-    from .lp_distance import levy_prokhorov
-
-    total = 0
-    for g in enumerate_marked_counts(n, cv):
-        if degree_law is not None and degree_law_of(g) != degree_law:
-            continue
-        if levy_prokhorov(empirical_distribution(g), mu) < eps:
-            total += 1
-    return total
-
-
-def finite_entropy_estimate(
-    n: int,
-    cv: CountVectors,
-    mu: LocalMeasure,
-    eps: Fraction,
-    degree_law: dict[int, Fraction] | None = None,
-) -> float:
-    """(log count - ||m|| log n) / n, the n-th term of the entropy limsup."""
-    count = count_ball_restricted(n, cv, mu, eps, degree_law)
-    if count == 0:
-        return float("-inf")
-    return (math.log(count) - cv.m_norm * math.log(n)) / n
-
-
-def count_Nk(gamma_ref: MarkedGraph, cv: CountVectors, k: int) -> int:
-    """Members of the (m, u) class whose depth-k empirical law, read off
-    depth-k balls, matches gamma_ref's."""
-    ref = empirical_distribution(gamma_ref, depth=k)
-    total = 0
-    for g in enumerate_marked_counts(gamma_ref.n, cv):
-        if empirical_distribution(g, depth=k) == ref:
-            total += 1
-    return total

@@ -255,13 +255,6 @@ def truncate(g: RootedMarkedGraph, r: int) -> RootedMarkedGraph:
     return ball(g.graph, g.root, r)
 
 
-def color_degree(g: MarkedGraph, o: int, x: str, xp: str) -> int:
-    """Number of neighbours v of o with xi(v, o) = x and xi(o, v) = xp."""
-    return sum(
-        1 for v in g.adjacency[o] if g.xi[(v, o)] == x and g.xi[(o, v)] == xp
-    )
-
-
 @dataclass(frozen=True)
 class DegreeSequence:
     """Vector of prescribed vertex degrees with even total."""

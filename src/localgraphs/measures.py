@@ -17,8 +17,6 @@ from .canonical import (
     canonicalize_pair,
     code_alphabets,
     decode_rooted,
-    profile_distance,
-    radius_profile,
     rooted_classes,
 )
 from .graphs import MarkedGraph, RootedMarkedGraph, ball, truncate
@@ -164,53 +162,6 @@ def check_unimodular(mu: LocalMeasure) -> UnimodularityReport:
         if balance[cls]:
             return UnimodularityReport(False, cls, balance[cls])
     return UnimodularityReport(True, None, Fraction(0))
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    max_ratio: Fraction
-    violation: tuple[int, int] | None  # indices of the offending corpus pair
-
-
-def pushforward_lipschitz_check(
-    f: Callable[[RootedMarkedGraph], RootedMarkedGraph],
-    alpha: Fraction,
-    corpus: list[LocalMeasure],
-) -> LipschitzReport:
-    """Assert d_LP(mu o f^-1, nu o f^-1) <= alpha * d_LP(mu, nu) pairwise.
-
-    First verifies that f itself is alpha-Lipschitz on the corpus atoms; a
-    violating measure pair signals an implementation bug, not a math failure.
-    """
-    from .lp_distance import levy_prokhorov
-
-    # one radius profile per corpus atom and one per its image under f
-    base: list[tuple[CanonicalClass, ...]] = []
-    image: list[tuple[CanonicalClass, ...]] = []
-    for mu in corpus:
-        for a in mu.support():
-            base.append(radius_profile(mu.rep(a), a))
-            image.append(radius_profile(f(mu.rep(a))))
-    for i in range(len(base)):
-        for j in range(i + 1, len(base)):
-            da = profile_distance(base[i], base[j])
-            db = profile_distance(image[i], image[j])
-            if db > alpha * da:
-                raise ValueError(
-                    f"f is not {alpha}-Lipschitz on the corpus atoms "
-                    f"({db} > {alpha} * {da})"
-                )
-    images = [pushforward(mu, f) for mu in corpus]
-    max_ratio = Fraction(0)
-    for i in range(len(corpus)):
-        for j in range(i + 1, len(corpus)):
-            base = levy_prokhorov(corpus[i], corpus[j])
-            img = levy_prokhorov(images[i], images[j])
-            if img > alpha * base:
-                return LipschitzReport(Fraction(-1), (i, j))
-            if base > 0:
-                max_ratio = max(max_ratio, img / base)
-    return LipschitzReport(max_ratio, None)
 
 
 # --- measure text format ----------------------------------------------------

@@ -4,7 +4,7 @@ Entropy-like quantities are real-valued (natural log throughout); measure
 statistics stay exact rationals until a log is taken.  The two limit
 quantities that have no closed form, the neighborhood-entropy value Sigma and
 the degree-law correction J1, enter only as tagged inputs: either supplied
-externally or estimated at finite n by the enumeration module.
+externally or estimated at finite n by exhaustive counting.
 """
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ from .marks import chi2_leq, fold_leq, parse_law, read_key_values
 from .measures import LocalMeasure
 
 INF = float("inf")
-#: Largest final-term deviation ``check_adapted`` accepts for a limit condition.
-ADAPTED_TOL = 1e-3
 
 
 def shannon_entropy(q) -> float:
@@ -56,19 +54,6 @@ def relative_entropy(a: dict, b: dict) -> float:
             return INF
         total += pa * math.log(pa / pb)
     return total
-
-
-def alpha_plus(alpha: dict) -> dict:
-    """Spread a law on nondecreasing pairs onto both orientations."""
-    out: dict = {}
-    for (x, y), p in alpha.items():
-        if x == y:
-            out[(x, x)] = out.get((x, x), 0) + p
-        else:
-            half = p / 2
-            out[(x, y)] = out.get((x, y), 0) + half
-            out[(y, x)] = out.get((y, x), 0) + half
-    return out
 
 
 @dataclass(frozen=True)
@@ -215,62 +200,7 @@ def rate_lambda(
         return INF
     # alpha and chi2_leq(chi) both order the pairs by chi's keys
     alpha = {k: Fraction(v, d) for k, v in fold_leq(stats.dvec, chi).items()}
-    return (
-        base
-        + float(d) / 2 * relative_entropy(alpha, chi2_leq(chi))
-        + relative_entropy(stats.pi, vartheta)
-    )
-
-
-# --- adaptedness diagnostics ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdaptedReport:
-    conditions: dict  # condition number -> bool
-    deviations: dict  # condition number -> worst final-term deviation
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.conditions.values())
-
-
-def check_adapted(sequence: list, dvec: AverageDegreeVector, Q: dict) -> AdaptedReport:
-    """Diagnose a finite prefix of (n, count-vector) pairs against (d, Q).
-
-    Conditions on counts hold exactly for every term; the limit conditions are
-    checked as final-term deviations within ADAPTED_TOL.
-    """
-    if not sequence:
-        raise ValueError("empty sequence")
-    conditions = {i: True for i in range(1, 7)}
-    deviations = {i: 0.0 for i in range(1, 7)}
-    for n, cv in sequence:
-        if cv.u_norm != n or cv.m_norm > n * (n - 1) // 2:
-            conditions[1] = False
-        for (x, xp), c in cv.m_leq.items():
-            dval = float(dvec.d.get((x, xp), 0))
-            if dval == 0 and c != 0:
-                conditions[5] = False
-        for t, c in cv.u.items():
-            if float(Q.get(t, 0)) == 0 and c != 0:
-                conditions[6] = False
-    n, cv = sequence[-1]
-    for (x, xp) in cv.m_leq:
-        # the nondecreasing-pair count aggregates both orientations off diagonal
-        target = float(dvec.d.get((x, xp), 0)) / 2 if x == xp else float(
-            dvec.d.get((x, xp), 0)
-        )
-        dev = abs(cv.m_leq[(x, xp)] / n - target)
-        idx = 2 if x == xp else 3
-        deviations[idx] = max(deviations[idx], dev)
-    for t in set(cv.u) | set(Q):
-        dev = abs(cv.u.get(t, 0) / n - float(Q.get(t, 0)))
-        deviations[4] = max(deviations[4], dev)
-    for idx in (2, 3, 4):
-        if deviations[idx] > ADAPTED_TOL:
-            conditions[idx] = False
-    return AdaptedReport(conditions, deviations)
+    return base + sanov_rate(alpha, stats.pi, d, chi, vartheta)
 
 
 # --- rate-inputs file format ------------------------------------------------

@@ -20,18 +20,27 @@ from .marks import CountVectors, ModelParams, chi2_leq, count_vectors_of, parse_
 DEFAULT_MAX_ATTEMPTS = 10**6
 
 
+def _uniform_edges(
+    ell: DegreeSequence, rng: random.Random, max_attempts: int
+) -> set[tuple[int, int]]:
+    """Edges (u, v), u < v, of a uniform simple graph with deg(i) = ell_i: the
+    stub list is one diagonal color of the configuration model, filtered at
+    girth > 2."""
+    ell.require_graphical()
+    stubs = [v for v, d in enumerate(ell.ell) for _ in range(d)]
+    for _, _, edges in filtered_pairings({(0, 0): stubs}, ell.n, 2, rng, max_attempts):
+        return edges
+    raise AttemptsExhausted(max_attempts)
+
+
 def sample_uniform_graph(
     ell: DegreeSequence,
     rng: random.Random,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> MarkedGraph:
-    """Uniform simple graph with deg(i) = ell_i, unmarked: the stub list is
-    one diagonal color of the configuration model, filtered at girth > 2."""
-    ell.require_graphical()
-    stubs = [v for v, d in enumerate(ell.ell) for _ in range(d)]
-    for _, _, edges in filtered_pairings({(0, 0): stubs}, ell.n, 2, rng, max_attempts):
-        return build_graph(ell.n, dict.fromkeys(edges, ("-", "-")))
-    raise AttemptsExhausted(max_attempts)
+    """Uniform simple graph with deg(i) = ell_i, unmarked."""
+    edges = _uniform_edges(ell, rng, max_attempts)
+    return build_graph(ell.n, dict.fromkeys(edges, ("-", "-")))
 
 
 def _weighted_choice(rng: random.Random, dist: dict[str, Fraction]) -> str:
@@ -47,11 +56,11 @@ def _weighted_choice(rng: random.Random, dist: dict[str, Fraction]) -> str:
 
 def sample_iid_marked(ell: DegreeSequence, params: ModelParams, rng: random.Random) -> MarkedGraph:
     """Uniform graph with independent vertex and oriented-edge marks."""
-    base = sample_uniform_graph(ell, rng)
+    edges = _uniform_edges(ell, rng, DEFAULT_MAX_ATTEMPTS)
     ab = params.alphabets
     tau = tuple(_weighted_choice(rng, params.vartheta) for _ in range(ell.n))
     marks = {}
-    for (u, v) in sorted(base.edges):
+    for (u, v) in sorted(edges):
         marks[(u, v)] = (
             _weighted_choice(rng, params.chi),
             _weighted_choice(rng, params.chi),
@@ -70,14 +79,14 @@ def sample_uniform_marked(ell: DegreeSequence, cv: CountVectors, rng: random.Ran
         raise CountMismatch(f"||u|| = {cv.u_norm} but n = {ell.n}")
     if cv.m_norm != ell.edge_count:
         raise CountMismatch(f"||m|| = {cv.m_norm} but edge count = {ell.edge_count}")
-    base = sample_uniform_graph(ell, rng)
+    edges = _uniform_edges(ell, rng, DEFAULT_MAX_ATTEMPTS)
     ab = cv.alphabets
     tau = [t for t in ab.theta for _ in range(cv.u.get(t, 0))]
     rng.shuffle(tau)
     pairs = [p for p, c in sorted(cv.m_leq.items()) for _ in range(c)]
     rng.shuffle(pairs)
     marks = {}
-    for e, (x, xp) in zip(sorted(base.edges), pairs):
+    for e, (x, xp) in zip(sorted(edges), pairs):
         if x != xp and rng.random() < 0.5:
             x, xp = xp, x
         marks[e] = (x, xp)
@@ -110,7 +119,10 @@ def read_sampler_config(text: str) -> SamplerConfig:
         ell = DegreeSequence(tuple(int(x) for x in deg_spec.split(",")))
     ab = MarkAlphabets(tuple(raw["theta"].split(",")), tuple(raw["xi"].split(",")))
     params = ModelParams(ab, parse_law(raw["vartheta"]), parse_law(raw["chi"]))
-    return SamplerConfig(ell, params, int(raw["seed"]), int(raw.get("trials", "1")))
+    trials = int(raw.get("trials", "1"))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return SamplerConfig(ell, params, int(raw["seed"]), trials)
 
 
 # --- exact mixture identity -------------------------------------------------

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from localgraphs.cli import main
-from localgraphs.graphs import MarkAlphabets, read_graph
+from localgraphs.graphs import MarkAlphabets, build_graph, read_graph
 from localgraphs.measures import empirical_distribution, write_measure
 
 
@@ -207,6 +209,46 @@ def test_entropy_from_inputs_file(tmp_path, capsys):
     code, out, _ = run(capsys, "entropy", "--inputs", str(inputs))
     assert code == 0
     assert "H_Q=" in out and "I_dQ=" in out
+
+
+def test_entropy_full_rate_on_a_marked_measure(tmp_path, capsys):
+    # vertex and edge marks both vary, so both Sanov terms of lambda are positive
+    ab = MarkAlphabets(("s", "t"), ("a", "b"))
+    g = build_graph(
+        4,
+        {(0, 1): ("a", "b"), (1, 2): ("a", "a"), (2, 3): ("b", "a"), (3, 0): ("b", "b")},
+        ("s", "s", "t", "s"),
+        ab,
+    )
+    measure = tmp_path / "mu.txt"
+    measure.write_text(write_measure(empirical_distribution(g)))
+    inputs = tmp_path / "rates.txt"
+    inputs.write_text(
+        "P=2:1\nQ=s:3/4,t:1/4\nvartheta=s:1/3,t:2/3\nchi=a:1/4,b:3/4\nd=a.a:2\n"
+        "Sigma=0.25\nSigma.provenance=supplied\nJ1=0.125\nJ1.provenance=supplied\n"
+    )
+    code, out, _ = run(capsys, "entropy", "--inputs", str(inputs), "--measure", str(measure))
+    assert code == 0
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("lambda=")]
+    # recorded from the earlier inline sum (base + A) + B; base + (A + B) may
+    # round the last bit differently
+    assert math.isclose(float(line[len("lambda="):]), 2.78115474653985, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_sample_without_positive_count_exits_one(capsys, count):
+    code, out, err = run(capsys, "sample", "--degrees", "1,1", "--seed", "1", "--count", count)
+    assert (code, out, err) == (1, "", "error: count must be >= 1\n")
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_sample_config_without_positive_trials_exits_one(tmp_path, capsys, trials):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        f"degrees=1,1\ntheta=s\nxi=a\nvartheta=s:1\nchi=a:1\nseed=2\ntrials={trials}\n"
+    )
+    code, out, err = run(capsys, "sample", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: trials must be >= 1\n")
 
 
 def test_sample_from_config_file(tmp_path, capsys):

