@@ -8,6 +8,7 @@ rejection sampling.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
 
@@ -16,7 +17,7 @@ from .enumeration import enumerate_graphs, enumerate_marked
 from .errors import AttemptsExhausted, Infeasible, LocalGraphsError
 from .graphs import DegreeSequence, MarkAlphabets, read_graph, write_graph
 from .lp_distance import levy_prokhorov
-from .marks import CountVectors
+from .marks import CountVectors, fold_leq
 from .measures import read_measure
 from .rates import (
     rate_I_dQ,
@@ -55,19 +56,28 @@ def _parse_degrees(text: str) -> DegreeSequence:
     return DegreeSequence(tuple(int(x) for x in text.split(",")))
 
 
+def _parse_counts(text: str) -> dict[str, int]:
+    """``key:count,...``; a key given twice is an error, not a silent overwrite."""
+    out = {}
+    for item in text.split(","):
+        k, _, v = item.partition(":")
+        if k in out:
+            raise LocalGraphsError(f"{k} is given twice")
+        out[k] = int(v)
+    return out
+
+
 def _parse_count_vectors(args) -> CountVectors:
     ab = MarkAlphabets(tuple(args.theta.split(",")), tuple(args.xi.split(",")))
-    u = {}
-    for item in args.u.split(","):
-        k, _, v = item.partition(":")
-        u[k] = int(v)
-    m = {}
-    for item in args.m.split(","):
-        k, _, v = item.partition(":")
+    # b.a names the same unordered pair as a.b, so it may be given once
+    pairs = {}
+    for k, c in _parse_counts(args.m).items():
         x, _, xp = k.partition(".")
-        m[(x, xp)] = int(v)
-        m[(xp, x)] = int(v)
-    return CountVectors(ab, u, m)
+        pairs[(x, xp)] = c
+    both = [f"{x}.{xp}" for (x, xp) in pairs if x < xp and (xp, x) in pairs]
+    if both:
+        raise LocalGraphsError(f"{', '.join(both)} is given in both orders")
+    return CountVectors(ab, _parse_counts(args.u), fold_leq(pairs, ab.xi))
 
 
 def _add_mark_options(p):
@@ -186,14 +196,8 @@ def cmd_surgery(args) -> int:
             fh.write(write_graph(rebuilt))
     else:
         sys.stdout.write(write_graph(rebuilt))
-    print(f"n={report.n}")
-    print(f"k={report.k}")
-    print(f"modified_vertices={report.modified_vertices}")
-    print(f"degree_exact={report.degree_exact}")
-    print(f"attempts={report.attempts}")
-    print(f"transport_changed={report.transport_changed}")
-    print(f"transport_bound={report.transport_bound}")
-    print(f"propagated_bound={report.propagated_bound}")
+    for f in dataclasses.fields(report):
+        print(f"{f.name}={getattr(report, f.name)}")
     return 0
 
 

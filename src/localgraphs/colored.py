@@ -52,18 +52,6 @@ class ColoredMultigraph:
         self.omega.setdefault(c, {})
         self.omega[c][(u, v)] = self.omega[c].get((u, v), 0) + count
 
-    def validate(self):
-        """Check the conjugate-pairing and even-diagonal-loop axioms."""
-        for c, entries in self.omega.items():
-            cb = ColorSet.conjugate(c)
-            for (u, v), k in entries.items():
-                if k != self.multiplicity(cb, v, u):
-                    raise InvalidSequence(
-                        f"omega_{c}({u},{v}) != omega_{cb}({v},{u})"
-                    )
-                if c == cb and u == v and k % 2 != 0:
-                    raise InvalidSequence(f"odd diagonal loop at {u}")
-
     def colorblind(self) -> dict[tuple[int, int], int]:
         """Summed multiplicities; symmetric since conjugates pair up."""
         out: dict[tuple[int, int], int] = {}
@@ -102,9 +90,6 @@ class ColoredDegreeSequence:
     def n(self) -> int:
         return len(self.degrees)
 
-    def at(self, v: int) -> dict[Color, int]:
-        return dict(self.degrees[v])
-
     def column_sums(self) -> dict[Color, int]:
         s: dict[Color, int] = {}
         for v, row in enumerate(self.degrees):
@@ -113,9 +98,6 @@ class ColoredDegreeSequence:
                     raise InvalidSequence(f"vertex {v + 1} has negative count {k} of color {c}")
                 s[c] = s.get(c, 0) + k
         return s
-
-    def total_degree(self, v: int) -> int:
-        return sum(k for _, k in self.degrees[v])
 
     def half_edges(self) -> dict[Color, list[int]]:
         """W_c per color c present, in sorted color order: v appears D_v(c) times."""

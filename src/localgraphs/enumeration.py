@@ -21,7 +21,6 @@ DEFAULT_VERTEX_CAP = 8
 class EnumerationResult:
     """Exact count with a replayable member stream."""
 
-    descriptor: str
     _factory: Callable[[], Iterator]
     _count: int | None = None
 
@@ -104,7 +103,7 @@ def enumerate_graphs(ell: DegreeSequence, cap: int = DEFAULT_VERTEX_CAP) -> Enum
         for edges in _edge_sets_with_degrees(ell.ell):
             yield build_graph(ell.n, {e: ("-", "-") for e in edges})
 
-    return EnumerationResult(f"G(ell={ell.ell})", factory)
+    return EnumerationResult(factory)
 
 
 def _edge_sets_with_count(n: int, m: int) -> Iterator[frozenset[tuple[int, int]]]:
@@ -121,7 +120,7 @@ def _marked_variants(
     """All mark assignments of a fixed edge set matching the count vectors."""
     ab = cv.alphabets
     n = cv.u_norm
-    vertex_pool = [t for t in ab.theta for _ in range(cv.u[t] if t in cv.u else 0)]
+    vertex_pool = [t for t in ab.theta for _ in range(cv.u[t])]
     pair_pool = [p for p, c in sorted(cv.m_leq.items()) for _ in range(c)]
     edge_list = sorted(edges)
 
@@ -155,16 +154,14 @@ def enumerate_marked(
     """All marked graphs with degrees ell and mark count vectors (m, u)."""
     if ell.n > cap:
         raise CapExceeded(f"n={ell.n} exceeds cap {cap}")
-    if cv.u_norm != ell.n:
-        return EnumerationResult("empty (||u|| != n)", lambda: iter(()))
-    if cv.m_norm != ell.edge_count:
-        return EnumerationResult("empty (||m|| != edge count)", lambda: iter(()))
+    if cv.u_norm != ell.n or cv.m_norm != ell.edge_count:
+        return EnumerationResult(lambda: iter(()))
 
     def factory():
         for edges in _edge_sets_with_degrees(ell.ell):
             yield from _marked_variants(edges, cv)
 
-    return EnumerationResult(f"barG(ell={ell.ell})_(m,u)", factory)
+    return EnumerationResult(factory)
 
 
 def enumerate_marked_counts(n: int, cv: CountVectors) -> EnumerationResult:
@@ -172,13 +169,13 @@ def enumerate_marked_counts(n: int, cv: CountVectors) -> EnumerationResult:
     if n > DEFAULT_VERTEX_CAP:
         raise CapExceeded(f"n={n} exceeds cap {DEFAULT_VERTEX_CAP}")
     if cv.u_norm != n:
-        return EnumerationResult("empty (||u|| != n)", lambda: iter(()))
+        return EnumerationResult(lambda: iter(()))
 
     def factory():
         for edges in _edge_sets_with_count(n, cv.m_norm):
             yield from _marked_variants(edges, cv)
 
-    return EnumerationResult(f"barG_(m,u) on [{n}]", factory)
+    return EnumerationResult(factory)
 
 
 def type_class_size(counts: list[int]) -> int:

@@ -94,9 +94,6 @@ class MarkedGraph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def component(self, v: int) -> list[int]:
         """Vertices of the connected component of v, in BFS order."""
         return list(self.bfs_layers(v))

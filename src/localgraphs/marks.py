@@ -2,6 +2,7 @@
 of the config files that give them."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -11,23 +12,32 @@ from .graphs import MarkAlphabets, MarkedGraph
 
 @dataclass(frozen=True)
 class CountVectors:
-    """Vertex-mark counts u and symmetric edge-mark counts m.
+    """Vertex-mark counts u and edge-mark counts m_leq over the <=-view.
 
-    m(x, x') counts edges whose unordered mark pair is {x, x'}; the sum of the
-    <=-view entries equals the edge count.
+    m_leq(x, x') counts edges whose unordered mark pair is {x, x'}, keyed by
+    the pairs of ``MarkAlphabets.xi_leq_pairs``; its entries sum to the edge
+    count.  Both maps are stored over every symbol or pair, with zeros filled
+    in, so equal counts compare equal.
     """
 
     alphabets: MarkAlphabets
     u: dict[str, int]
-    m: dict[tuple[str, str], int]
+    m_leq: dict[tuple[str, str], int]
 
     def __post_init__(self):
-        for x in self.alphabets.xi:
-            for xp in self.alphabets.xi:
-                if self.m.get((x, xp), 0) != self.m.get((xp, x), 0):
-                    raise ValueError("edge-mark counts must be symmetric")
-        if any(c < 0 for c in self.u.values()) or any(c < 0 for c in self.m.values()):
+        theta, pairs = self.alphabets.theta, self.alphabets.xi_leq_pairs()
+        bad_u = [t for t in self.u if t not in theta]
+        if bad_u:
+            raise ValueError(f"vertex marks outside theta: {', '.join(bad_u)}")
+        bad_m = [p for p in self.m_leq if p not in pairs]
+        if bad_m:
+            raise ValueError(
+                f"edge-mark pairs outside xi's <= pairs: {', '.join('.'.join(p) for p in bad_m)}"
+            )
+        if any(c < 0 for c in self.u.values()) or any(c < 0 for c in self.m_leq.values()):
             raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "u", {t: self.u.get(t, 0) for t in theta})
+        object.__setattr__(self, "m_leq", {p: self.m_leq.get(p, 0) for p in pairs})
 
     @property
     def u_norm(self) -> int:
@@ -35,15 +45,8 @@ class CountVectors:
 
     @property
     def m_norm(self) -> int:
-        """Number of edges: the sum over the <=-ordered view."""
+        """Number of edges."""
         return sum(self.m_leq.values())
-
-    @property
-    def m_leq(self) -> dict[tuple[str, str], int]:
-        return {
-            (x, xp): self.m.get((x, xp), 0)
-            for (x, xp) in self.alphabets.xi_leq_pairs()
-        }
 
     @property
     def off_diagonal_total(self) -> int:
@@ -51,18 +54,8 @@ class CountVectors:
 
 
 def count_vectors_of(g: MarkedGraph) -> CountVectors:
-    u = {t: 0 for t in g.alphabets.theta}
-    for t in g.tau:
-        u[t] += 1
-    m: dict[tuple[str, str], int] = {}
-    for (a, b) in g.edges:
-        x, xp = g.xi[(a, b)], g.xi[(b, a)]
-        if x == xp:
-            m[(x, x)] = m.get((x, x), 0) + 1
-        else:
-            m[(x, xp)] = m.get((x, xp), 0) + 1
-            m[(xp, x)] = m.get((xp, x), 0) + 1
-    return CountVectors(g.alphabets, u, m)
+    pairs = Counter((g.xi[(a, b)], g.xi[(b, a)]) for (a, b) in g.edges)
+    return CountVectors(g.alphabets, Counter(g.tau), fold_leq(pairs, g.alphabets.xi))
 
 
 @dataclass(frozen=True)
@@ -78,14 +71,6 @@ class ModelParams:
             raise ValueError("vartheta must sum to one")
         if sum(self.chi.values(), Fraction(0)) != 1:
             raise ValueError("chi must sum to one")
-
-    @classmethod
-    def uniform(cls, alphabets: MarkAlphabets) -> "ModelParams":
-        return cls(
-            alphabets,
-            {t: Fraction(1, len(alphabets.theta)) for t in alphabets.theta},
-            {x: Fraction(1, len(alphabets.xi)) for x in alphabets.xi},
-        )
 
 
 def chi2_leq(chi: Mapping, order: Sequence[str] | None = None) -> dict:

@@ -40,9 +40,6 @@ class LocalMeasure:
             return NotImplemented
         return self.atoms == other.atoms
 
-    def total_mass(self) -> Fraction:
-        return sum(self.atoms.values(), Fraction(0))
-
     def rep(self, atom: CanonicalClass) -> RootedMarkedGraph:
         if atom not in self.reps:
             # codes are self-describing, so the missing representatives can be

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import TextIO
 
 from .errors import InvalidSequence, RangeViolation
 from .marks import chi2_leq, fold_leq, parse_law, read_key_values
@@ -74,11 +74,6 @@ class AverageDegreeVector:
     @property
     def total(self):
         return sum(self.d.values())
-
-    def leq_view(self, order: Sequence[str]) -> dict:
-        """Mean degrees on pairs x <= x' by position in ``order`` (the xi
-        alphabet); off the diagonal both orientations add up."""
-        return fold_leq(self.d, order)
 
 
 def s_vector(dvec: AverageDegreeVector) -> float:

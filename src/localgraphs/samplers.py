@@ -81,7 +81,7 @@ def sample_uniform_marked(ell: DegreeSequence, cv: CountVectors, rng: random.Ran
         raise CountMismatch(f"||m|| = {cv.m_norm} but edge count = {ell.edge_count}")
     edges = _uniform_edges(ell, rng, DEFAULT_MAX_ATTEMPTS)
     ab = cv.alphabets
-    tau = [t for t in ab.theta for _ in range(cv.u.get(t, 0))]
+    tau = [t for t in ab.theta for _ in range(cv.u[t])]
     rng.shuffle(tau)
     pairs = [p for p, c in sorted(cv.m_leq.items()) for _ in range(c)]
     rng.shuffle(pairs)

@@ -82,15 +82,6 @@ class CriterionResult:
     seconds: float
 
 
-def _cv(alphabets: MarkAlphabets, u: dict, m_leq: dict) -> CountVectors:
-    m = {}
-    for (x, xp), c in m_leq.items():
-        m[(x, xp)] = c
-        if x != xp:
-            m[(xp, x)] = c
-    return CountVectors(alphabets, u, m)
-
-
 # --- 1: counting identity ---------------------------------------------------
 
 
@@ -108,11 +99,7 @@ def _counting_grid():
             u = {"s": n}
         else:
             u = {"s": theta_split[0], "t": theta_split[1]}
-        pairs = ab.xi_leq_pairs()
-        m_leq = {p: 0 for p in pairs}
-        for p, c in zip(pairs, m_split):
-            m_leq[p] = c
-        grid.append((ds, _cv(ab, u, m_leq)))
+        grid.append((ds, CountVectors(ab, u, dict(zip(ab.xi_leq_pairs(), m_split)))))
 
     add((1, 1), (2,), (1,), ab1)
     add((1, 1), (1, 1), (1, 0, 0), AB2)
@@ -195,7 +182,7 @@ def suite_uniformity() -> tuple[bool, str]:
         counts[key] = counts.get(key, 0) + 1
     ok1, dev1 = _within_four_se(counts, UNIFORMITY_TRIALS, 3)
 
-    cv = _cv(AB2, {"s": 1, "t": 1}, {("a", "a"): 0, ("a", "b"): 1, ("b", "b"): 0})
+    cv = CountVectors(AB2, {"s": 1, "t": 1}, {("a", "b"): 1})
     ell2 = DegreeSequence((1, 1))
     marked_counts: dict = {}
     for _ in range(UNIFORMITY_TRIALS):
@@ -541,7 +528,7 @@ def suite_rates() -> tuple[bool, str]:
     for n in (4, 6, 8):
         count = math.comb(n * (n - 1) // 2, n)
         if n == 4:
-            cv = _cv(ab, {"s": 4}, {("a", "a"): 4})
+            cv = CountVectors(ab, {"s": 4}, {("a", "a"): 4})
             checks.append(enumerate_marked_counts(4, cv).count == count)
         gaps.append(abs((math.log(count) - n * math.log(n)) / n - target))
     checks.append(gaps[0] >= gaps[1] >= gaps[2])

@@ -20,6 +20,7 @@ slower reference:
 """
 from fractions import Fraction
 
+from localgraphs.errors import InvalidSequence
 from localgraphs.graphs import MarkedGraph, RootedMarkedGraph
 
 
@@ -40,7 +41,7 @@ def isomorphic_oracle(a: RootedMarkedGraph, b: RootedMarkedGraph) -> bool:
         for w in ga.adjacency[u]:
             if w in mapping:
                 z = mapping[w]
-                if not gb.has_edge(v, z):
+                if (min(v, z), max(v, z)) not in gb.edges:
                     return False
                 if ga.xi[(u, w)] != gb.xi[(v, z)] or ga.xi[(w, u)] != gb.xi[(z, v)]:
                     return False
@@ -187,6 +188,20 @@ def cm_pairings_oracle(D) -> list[tuple]:
                 [[(c, u, v) for u, v in zip(stubs[c], p)] for p in permutations(stubs.get(cb, []))]
             )
     return [tuple(sorted(x for part in choice for x in part)) for choice in product(*factors)]
+
+
+def colored_axioms_oracle(g) -> None:
+    """Check a colored multigraph's axioms on its raw multiplicities: each
+    omega_c(u, v) equals omega_conj(c)(v, u), and a diagonal colour's loops
+    at a vertex come in an even count.  Raises ``InvalidSequence`` at the
+    first violation."""
+    for c, entries in g.omega.items():
+        cb = (c[1], c[0])
+        for (u, v), k in entries.items():
+            if k != g.omega.get(cb, {}).get((v, u), 0):
+                raise InvalidSequence(f"omega_{c}({u},{v}) != omega_{cb}({v},{u})")
+            if c == cb and u == v and k % 2:
+                raise InvalidSequence(f"odd diagonal loop at {u}")
 
 
 def erdos_gallai_oracle(ell) -> bool:

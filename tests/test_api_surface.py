@@ -3,7 +3,8 @@
 Every defaulted parameter of a public function or method is listed: an option
 doubles the configurations that tests and benchmarks must cover, so a new one
 fails here until it is listed.  Every public module-level function or class
-has a caller in the product (the package itself or ``bench/``): a name that
+has a caller in the product (the package itself or ``bench/``), and every
+public method or property of a public class has a reader there: a name that
 only tests reach belongs in the tests."""
 import ast
 import re
@@ -72,6 +73,10 @@ NO_PRODUCT_CALLER = {
 }
 
 
+def product_files() -> list[Path]:
+    return sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+
+
 def _docstrings(tree: ast.AST) -> set[int]:
     out = set()
     for node in ast.walk(tree):
@@ -87,8 +92,7 @@ def product_references() -> Counter:
     imports, and the words of string constants other than docstrings (so
     bench/tracing.SPANS, which names functions as strings, counts)."""
     found = Counter()
-    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
-    for path in paths:
+    for path in product_files():
         tree = ast.parse(path.read_text())
         docs = _docstrings(tree)
         for node in ast.walk(tree):
@@ -117,3 +121,25 @@ def test_every_public_function_has_a_product_caller():
                 orphans.append(f"{path.stem}.{node.name}")
     assert orphans == []
     assert all(found[name] == 0 for name in NO_PRODUCT_CALLER)
+
+
+def test_every_public_method_has_a_product_reader():
+    """Every public method or property of a public class is read as an
+    attribute somewhere in src/ or bench/.  Bare names do not count: a local
+    function that shares a method's name would hide the unread method."""
+    read = Counter()
+    for path in product_files():
+        read.update(n.attr for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Attribute))
+    unread = []
+    for path in sorted(Path(localgraphs.__file__).parent.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")
+                    and not read[node.name]
+                ):
+                    unread.append(f"{path.stem}.{cls.name}.{node.name}")
+    assert unread == []

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -62,6 +63,42 @@ def test_enumerate_members_streams_them(capsys):
     assert code == 0
     assert out.count("graph ") == 3
     assert out.strip().endswith("count 3")
+
+
+#: --u and --m values that are not count vectors over --theta s,t and
+#: --xi a,b on two vertices, each with the symbol its error line must name
+BAD_MARK_COUNTS = {
+    "edge_mark_outside_xi": ("s:1,t:1", "a.c:1", "c"),
+    "vertex_mark_outside_theta": ("s:1,q:1", "a.b:1", "q"),
+    "vertex_mark_twice": ("s:1,s:1", "a.b:1", "s"),
+    "pair_twice": ("s:1,t:1", "a.b:1,a.b:1", "a.b"),
+    "pair_in_both_orders": ("s:1,t:1", "a.b:1,b.a:1", "a.b"),
+}
+
+
+@pytest.mark.parametrize("u,m,named", list(BAD_MARK_COUNTS.values()), ids=list(BAD_MARK_COUNTS))
+def test_bad_mark_counts_exit_one(capsys, u, m, named):
+    code, out, err = run(
+        capsys,
+        "enumerate", "--degrees", "1,1",
+        "--theta", "s,t", "--xi", "a,b", "--u", u, "--m", m,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert re.search(rf"\b{re.escape(named)}\b", err)
+
+
+def test_edge_mark_pair_in_either_order_samples_the_same(capsys):
+    outs = set()
+    for m in ("a.a:1,b.a:2", "a.a:1,a.b:2"):
+        code, out, _ = run(
+            capsys,
+            "sample", "--degrees", "2,2,2", "--seed", "11",
+            "--theta", "s,t", "--xi", "a,b", "--u", "s:2,t:1", "--m", m,
+        )
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
 
 
 def test_verify_runs_a_suite_by_name(capsys):

@@ -26,7 +26,7 @@ from localgraphs.canonical import canonicalize
 from localgraphs.graphs import MarkAlphabets, build_graph, rooted_component, truncate
 from localgraphs import verify
 
-from oracles import cm_pairings_oracle, girth_oracle
+from oracles import cm_pairings_oracle, colored_axioms_oracle, girth_oracle
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 AB1 = MarkAlphabets(("s",), ("a",))
@@ -51,16 +51,16 @@ def test_multigraph_validate_catches_unpaired_edges():
     g = ColoredMultigraph(2, CS2)
     g.add((0, 1), 0, 1)
     with pytest.raises(InvalidSequence):
-        g.validate()
+        colored_axioms_oracle(g)
     g.add((1, 0), 1, 0)
-    g.validate()
+    colored_axioms_oracle(g)
 
 
 def test_multigraph_validate_catches_odd_loop():
     g = ColoredMultigraph(1, CS2)
     g.add((0, 0), 0, 0, 1)
     with pytest.raises(InvalidSequence):
-        g.validate()
+        colored_axioms_oracle(g)
 
 
 def test_colorblind_sums_multiplicities():
@@ -82,7 +82,7 @@ def test_degree_sequence_validation():
         ColoredDegreeSequence.from_maps(CS2, [{(0, 0): 1}, {}])
     D = ColoredDegreeSequence.from_maps(CS2, [{(0, 1): 1}, {(1, 0): 1}])
     assert D.column_sums() == {(0, 1): 1, (1, 0): 1}
-    assert D.total_degree(0) == 1
+    assert sum(dict(D.degrees[0]).values()) == 1
 
 
 def test_degree_sequence_validated_on_direct_construction():
@@ -100,7 +100,7 @@ def test_sample_cm_forced_edge():
     g = sample_cm(D, random.Random(0))
     assert g.multiplicity((0, 1), 0, 1) == 1
     assert g.multiplicity((1, 0), 1, 0) == 1
-    g.validate()
+    colored_axioms_oracle(g)
 
 
 def test_sample_cm_diagonal_matching_outcomes():
@@ -110,10 +110,10 @@ def test_sample_cm_diagonal_matching_outcomes():
     seen = set()
     for _ in range(200):
         g = sample_cm(D, rng)
-        g.validate()
+        colored_axioms_oracle(g)
         degs = colored_degree_sequence_of(g)
         assert degs.column_sums() == D.column_sums()
-        assert degs.at(0) == D.at(0) and degs.at(1) == D.at(1)
+        assert dict(degs.degrees[0]) == dict(D.degrees[0]) and dict(degs.degrees[1]) == dict(D.degrees[1])
         seen.add(tuple(sorted(g.colorblind().items())))
     # either a double edge or two self-loops
     assert len(seen) == 2
@@ -136,7 +136,7 @@ def test_sample_cm_preserves_colored_degrees():
                 base.add(ColorSet.conjugate(c), v, u)
         D = colored_degree_sequence_of(base)
         g = sample_cm(D, rng)
-        g.validate()
+        colored_axioms_oracle(g)
         assert colored_degree_sequence_of(g).degrees == D.degrees
 
 
@@ -196,7 +196,7 @@ def test_color_graph_round_trips_through_mcb():
         g = random_marked(rng, rng.randint(2, 8))
         for k in (1, 2):
             cm, _ = color_graph(g, k)
-            cm.validate()
+            colored_axioms_oracle(cm)
             back = mcb(g.tau, cm, g.alphabets)
             assert back.edges == g.edges
             assert dict(back.xi) == dict(g.xi)
@@ -262,8 +262,8 @@ def test_cds_round_trip():
         D = colored_degree_sequence_of(cm)
         back = read_cds(write_cds(D))
         assert back.column_sums() == D.column_sums()
-        assert [back.at(v) for v in range(back.n)] == [
-            D.at(v) for v in range(D.n)
+        assert [dict(back.degrees[v]) for v in range(back.n)] == [
+            dict(D.degrees[v]) for v in range(D.n)
         ]
 
 

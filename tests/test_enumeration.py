@@ -23,13 +23,6 @@ AB = MarkAlphabets(("s", "t"), ("a", "b"))
 AB1 = MarkAlphabets(("s",), ("a",))
 
 
-def cv(ab, u, m_leq):
-    m = dict(m_leq)
-    for (x, xp), c in list(m_leq.items()):
-        m[(xp, x)] = c
-    return CountVectors(ab, u, m)
-
-
 def test_multiset_permutations_counts():
     perms = list(multiset_permutations(["a", "a", "b"]))
     assert perms == [("a", "a", "b"), ("a", "b", "a"), ("b", "a", "a")]
@@ -64,28 +57,28 @@ def test_cap_is_enforced():
 
 def test_marked_count_single_edge_two_marks():
     # one edge, off-diagonal pair {a, b}: two orientations
-    vecs = cv(AB, {"s": 2, "t": 0}, {("a", "b"): 1})
+    vecs = CountVectors(AB, {"s": 2, "t": 0}, {("a", "b"): 1})
     result = enumerate_marked(DegreeSequence((1, 1)), vecs)
     assert result.count == 2
     assert marked_class_size_formula(DegreeSequence((1, 1)), vecs) == 2
 
 
 def test_marked_count_mismatched_norms_is_empty():
-    vecs = cv(AB, {"s": 3, "t": 0}, {("a", "a"): 1})  # ||u|| = 3 but n = 2
+    vecs = CountVectors(AB, {"s": 3, "t": 0}, {("a", "a"): 1})  # ||u|| = 3 but n = 2
     assert enumerate_marked(DegreeSequence((1, 1)), vecs).count == 0
 
 
 def test_marked_formula_matches_enumeration_grid():
     cases = [
-        (DegreeSequence((1, 1)), cv(AB, {"s": 1, "t": 1}, {("a", "a"): 1})),
-        (DegreeSequence((1, 1, 2)), cv(AB, {"s": 2, "t": 1}, {("a", "b"): 2})),
+        (DegreeSequence((1, 1)), CountVectors(AB, {"s": 1, "t": 1}, {("a", "a"): 1})),
+        (DegreeSequence((1, 1, 2)), CountVectors(AB, {"s": 2, "t": 1}, {("a", "b"): 2})),
         (
             DegreeSequence((1, 1, 1, 1)),
-            cv(AB, {"s": 2, "t": 2}, {("a", "a"): 1, ("a", "b"): 1}),
+            CountVectors(AB, {"s": 2, "t": 2}, {("a", "a"): 1, ("a", "b"): 1}),
         ),
         (
             DegreeSequence((2, 2, 2)),
-            cv(AB, {"s": 3, "t": 0}, {("a", "b"): 2, ("b", "b"): 1}),
+            CountVectors(AB, {"s": 3, "t": 0}, {("a", "b"): 2, ("b", "b"): 1}),
         ),
     ]
     for ell, vecs in cases:
@@ -94,7 +87,7 @@ def test_marked_formula_matches_enumeration_grid():
 
 def test_marked_members_have_declared_counts():
     ell = DegreeSequence((2, 1, 1))
-    vecs = cv(AB, {"s": 1, "t": 2}, {("a", "b"): 1, ("b", "b"): 1})
+    vecs = CountVectors(AB, {"s": 1, "t": 2}, {("a", "b"): 1, ("b", "b"): 1})
     for g in enumerate_marked(ell, vecs):
         back = count_vectors_of(g)
         assert back.u == vecs.u
@@ -162,7 +155,7 @@ def count_Nk(gamma_ref: MarkedGraph, cv: CountVectors, k: int) -> int:
 
 
 def test_count_ball_large_eps_counts_everything():
-    vecs = cv(AB1, {"s": 3}, {("a", "a"): 2})
+    vecs = CountVectors(AB1, {"s": 3}, {("a", "a"): 2})
     mu = empirical_distribution(
         build_graph(3, {(0, 1): ("a", "a"), (1, 2): ("a", "a")}, ("s",) * 3, AB1)
     )
@@ -180,7 +173,7 @@ def test_count_ball_tiny_eps_keeps_only_the_class():
 
 
 def test_count_ball_degree_law_restriction():
-    vecs = cv(AB1, {"s": 4}, {("a", "a"): 2})
+    vecs = CountVectors(AB1, {"s": 4}, {("a", "a"): 2})
     path = build_graph(
         4, {(0, 1): ("a", "a"), (1, 2): ("a", "a")}, ("s",) * 4, AB1
     )

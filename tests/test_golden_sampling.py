@@ -32,7 +32,7 @@ CONFIG = (
 def colored_sample_cds() -> str:
     """The depth-1 colored degree sequence of one uniform marked sample."""
     ell = DegreeSequence(tuple(int(d) for d in MIXED.split(",")))
-    cv = CountVectors(AB2, {"s": 25, "t": 15}, {("a", "a"): 20, ("a", "b"): 12, ("b", "a"): 12, ("b", "b"): 8})
+    cv = CountVectors(AB2, {"s": 25, "t": 15}, {("a", "a"): 20, ("a", "b"): 12, ("b", "b"): 8})
     g = sample_uniform_marked(ell, cv, random.Random(23))
     return write_cds(colored_degree_sequence_of(color_graph(g, 1)[0]))
 

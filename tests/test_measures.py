@@ -366,9 +366,9 @@ def test_operations_conserve_mass():
     rng = random.Random(47)
     g = random_marked(rng, 8)
     mu = empirical_distribution(g)
-    assert mu.total_mass() == 1
-    assert truncate_measure(mu, 2).total_mass() == 1
-    assert project_unmarked(mu).total_mass() == 1
+    assert sum(mu.atoms.values()) == 1
+    assert sum(truncate_measure(mu, 2).atoms.values()) == 1
+    assert sum(project_unmarked(mu).atoms.values()) == 1
 
 
 def test_measure_text_round_trip():
