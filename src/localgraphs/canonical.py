@@ -15,6 +15,13 @@ onto an explored one, so it visits about one branch per orbit: a windmill of
 k triangles rooted at its centre costs milliseconds, where the full search
 tree has 2^k k! leaves.  None of this moves a code: every certificate is the
 minimum over the full tree.
+
+Depth-k codes (``depth_class``, ``depth_classes``) are read off g itself: the
+entry of v seen from its parent p with r levels left depends on (p, v, r)
+alone, so one memo over g's directed edges serves every ball (the AHU tree
+code of Aho, Hopcroft & Ullman, as a directed-type recursion), and a
+tree-shaped ball's certificate is written from it without building the ball.
+Any other ball is built and canonicalized.
 """
 from __future__ import annotations
 
@@ -322,9 +329,66 @@ def canonicalize(g: RootedMarkedGraph) -> CanonicalClass:
     return CanonicalClass(canonical_code(g.graph, (g.root,)))
 
 
+#: E(p, v, r) -> the entry of v seen from its parent p with r levels left,
+#: and a tree ball's signature -> its class; see depth_class.
+EntryMemo = dict[tuple[int, int, int] | str, str | CanonicalClass]
+
+
+def depth_class(g: MarkedGraph, parent: int, root: int, r: int, memo: EntryMemo) -> CanonicalClass:
+    """Class of the depth-r ball of root in g minus the edge to ``parent``
+    (-1 for none), written from g and the entry memo, which the caller keeps
+    for one graph and one call, when the ball is a tree; otherwise the ball
+    is built and canonicalized.
+
+    The walk away from parent is the ball, and a tree, exactly when no walk
+    vertex has a neighbour in the ball besides its parent; a walk that
+    reached parent would find root there.  Then the root's mark and its
+    children's sorted entries fix the ball, and a ball first met has its
+    ``_certificate`` written in the preorder by ascending entry, which is
+    ``_tree_order``'s, each edge from its parent end.
+    """
+    adj = g.adjacency
+    walk = [(parent, root, r)]
+    seen = {root}
+    # breadth first, so the ball is all seen before the first depth-r vertex
+    for p, v, d in walk:
+        for c in adj[v]:
+            if c != p:
+                if c in seen:
+                    cut = (parent, root) if parent >= 0 else None
+                    return canonicalize(ball(g, root, r, exclude_edge=cut))
+                if d:
+                    seen.add(c)
+                    walk.append((v, c, d - 1))
+    for key in reversed(walk[1:]):
+        if key not in memo:
+            p, v, d = key
+            memo[key] = _entry(g, p, v, [memo[(v, c, d - 1)] for c in adj[v] if c != p] if d else [])
+    below = sorted([memo[(root, c, r - 1)] for c in adj[root] if c != parent]) if r else []
+    signature = f"{g.tau[root]}|{''.join(below)}"
+    if signature not in memo:
+        tau, edges = [], []
+        stack = [(parent, root, r, -1)]
+        while stack:
+            p, v, d, a = stack.pop()
+            b = len(tau)
+            tau.append(g.tau[v])
+            if a >= 0:
+                edges.append(f"{a}.{b}.{g.xi[(p, v)]}.{g.xi[(v, p)]}")
+            if d:
+                # descending, so the stack pops the least entry first
+                kids = sorted([(memo[(v, c, d - 1)], c) for c in adj[v] if c != p], reverse=True)
+                stack.extend([(v, c, d - 1, b) for _, c in kids])
+        edges.sort()
+        cert = f"n={len(tau)};r=0;t={','.join(tau)};e={'|'.join(edges)}"
+        memo[signature] = CanonicalClass(cert.encode())
+    return memo[signature]
+
+
 def depth_classes(g: MarkedGraph, k: int) -> list[CanonicalClass]:
     """Depth-k class of every vertex of g, in vertex order."""
-    return [canonicalize(ball(g, v, k)) for v in range(g.n)]
+    memo: EntryMemo = {}
+    return [depth_class(g, -1, v, k, memo) for v in range(g.n)]
 
 
 def canonicalize_pair(g: MarkedGraph, o: int, v: int) -> CanonicalClass:

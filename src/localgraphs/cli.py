@@ -56,14 +56,18 @@ def _parse_degrees(text: str) -> DegreeSequence:
     return DegreeSequence(tuple(int(x) for x in text.split(",")))
 
 
-def _parse_counts(text: str) -> dict[str, int]:
-    """``key:count,...``; a key given twice is an error, not a silent overwrite."""
+def _parse_counts(option: str, text: str) -> dict[str, int]:
+    """``key:count,...`` given to ``option``; a key given twice is an error,
+    not a silent overwrite, and an error names the option and the item."""
     out = {}
     for item in text.split(","):
         k, _, v = item.partition(":")
         if k in out:
             raise LocalGraphsError(f"{k} is given twice")
-        out[k] = int(v)
+        try:
+            out[k] = int(v)
+        except ValueError:
+            raise LocalGraphsError(f"{option} item {item!r} needs a count (key:count)") from None
     return out
 
 
@@ -71,13 +75,13 @@ def _parse_count_vectors(args) -> CountVectors:
     ab = MarkAlphabets(tuple(args.theta.split(",")), tuple(args.xi.split(",")))
     # b.a names the same unordered pair as a.b, so it may be given once
     pairs = {}
-    for k, c in _parse_counts(args.m).items():
+    for k, c in _parse_counts("--m", args.m).items():
         x, _, xp = k.partition(".")
         pairs[(x, xp)] = c
     both = [f"{x}.{xp}" for (x, xp) in pairs if x < xp and (xp, x) in pairs]
     if both:
         raise LocalGraphsError(f"{', '.join(both)} is given in both orders")
-    return CountVectors(ab, _parse_counts(args.u), fold_leq(pairs, ab.xi))
+    return CountVectors(ab, _parse_counts("--u", args.u), fold_leq(pairs, ab.xi))
 
 
 def _add_mark_options(p):

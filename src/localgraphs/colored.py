@@ -9,9 +9,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .canonical import canonicalize
+from .canonical import EntryMemo, depth_class
 from .errors import AttemptsExhausted, InconsistentColors, InvalidSequence
-from .graphs import MarkAlphabets, MarkedGraph, ball, build_graph
+from .graphs import MarkAlphabets, MarkedGraph, build_graph
 
 # An F-element is (edge-mark symbol, canonical-code bytes of a depth-(k-1)
 # rooted class); a color is an ordered pair of F-element indices.
@@ -306,9 +306,9 @@ def estimate_alpha_h(
 # --- colors from neighborhoods: C(G) and MCB --------------------------------
 
 
-def _direction_element(g: MarkedGraph, u: int, v: int, k: int) -> FElement:
+def _direction_element(g: MarkedGraph, u: int, v: int, k: int, memo: EntryMemo) -> FElement:
     """(edge mark from u to v, depth-(k-1) class of v's ball in g minus uv)."""
-    return (g.xi[(u, v)], canonicalize(ball(g, v, k - 1, exclude_edge=(u, v))).code)
+    return (g.xi[(u, v)], depth_class(g, u, v, k - 1, memo).code)
 
 
 def color_graph(g: MarkedGraph, k: int) -> tuple[ColoredMultigraph, ColorSet]:
@@ -316,9 +316,10 @@ def color_graph(g: MarkedGraph, k: int) -> tuple[ColoredMultigraph, ColorSet]:
     if k < 1:
         raise ValueError("k must be >= 1")
     directions: dict[tuple[int, int], FElement] = {}
+    memo: EntryMemo = {}
     for (u, v) in g.edges:
-        directions[(u, v)] = _direction_element(g, u, v, k)
-        directions[(v, u)] = _direction_element(g, v, u, k)
+        directions[(u, v)] = _direction_element(g, u, v, k, memo)
+        directions[(v, u)] = _direction_element(g, v, u, k, memo)
     colors = ColorSet(tuple(sorted(set(directions.values()))))
     index = {f: i for i, f in enumerate(colors.f_elements)}
     cm = ColoredMultigraph(g.n, colors)

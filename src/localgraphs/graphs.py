@@ -298,8 +298,13 @@ class DegreeSequence:
                 return False
         return True
 
+    @cached_property
+    def _graphical(self) -> bool:
+        return self.is_graphical()
+
     def require_graphical(self):
-        if not self.is_graphical():
+        """Raise NonGraphical unless ell is graphical, checked once per object."""
+        if not self._graphical:
             raise NonGraphical(f"degree sequence {self.ell} is not graphical")
 
 

@@ -13,13 +13,15 @@ from typing import Callable, Iterable
 
 from .canonical import (
     CanonicalClass,
+    EntryMemo,
     canonicalize,
     canonicalize_pair,
     code_alphabets,
     decode_rooted,
+    depth_class,
     rooted_classes,
 )
-from .graphs import MarkedGraph, RootedMarkedGraph, ball, truncate
+from .graphs import MarkedGraph, RootedMarkedGraph, ball
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,11 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
     """U(G): uniform mixture over vertices of the rooted component classes,
     or of the rooted depth-``depth`` ball classes when a depth is given.
 
-    With a depth, each vertex's ball is canonicalized once and kept as its
-    atom's representative: O(n * ball), and no full-depth code is built.  At
-    full depth each component is extracted once and every vertex is rooted in
-    that one subgraph, which the representatives share.  A tree component of
+    With a depth, each vertex's ball class is read off once, a tree-shaped
+    ball from the directed-entry memo without building the ball: O(n * ball),
+    and no full-depth code is built.  At full depth each component is
+    extracted once and every vertex is rooted in that one subgraph, which
+    the representatives share.  A tree component of
     m vertices costs O(m^2): one rerooting pass, then an O(m) order and
     certificate per root.  A cyclic component costs one individualization-
     refinement search for its automorphisms, then one search per orbit of
@@ -82,7 +85,8 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if depth is not None:
-        return measure_from_pairs((ball(g, v, depth), Fraction(1, g.n)) for v in range(g.n))
+        counts, reps = _ball_classes(((g, v, 1) for v in range(g.n)), depth)
+        return LocalMeasure({cls: Fraction(c, g.n) for cls, c in counts.items()}, reps)
     rooted: dict[int, tuple[MarkedGraph, int, CanonicalClass]] = {}
     counts: dict[CanonicalClass, int] = {}
     reps: dict[CanonicalClass, RootedMarkedGraph] = {}
@@ -99,9 +103,29 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
     return LocalMeasure({cls: Fraction(c, g.n) for cls, c in counts.items()}, reps)
 
 
+def _ball_classes(roots: Iterable[tuple[MarkedGraph, int, int | Fraction]], k: int):
+    """The summed weight and the rep of each depth-k class of the weighted
+    roots (graph, vertex, weight), in order of first root.  Each graph has
+    one entry memo for the call, and only the first root of a class has its
+    ball built, so classes, order and reps are those of building every ball."""
+    # the caller holds every graph for the whole call, so id(g) names one graph
+    memos: dict[int, EntryMemo] = {}
+    weights: dict[CanonicalClass, int | Fraction] = {}
+    reps: dict[CanonicalClass, RootedMarkedGraph] = {}
+    for g, v, w in roots:
+        cls = depth_class(g, -1, v, k, memos.setdefault(id(g), {}))
+        if cls in reps:
+            weights[cls] += w
+        else:
+            weights[cls], reps[cls] = w, ball(g, v, k)
+    return weights, reps
+
+
 def truncate_measure(mu: LocalMeasure, k: int) -> LocalMeasure:
-    """Pushforward of mu under depth-k truncation, recanonicalized."""
-    return pushforward(mu, lambda rg: truncate(rg, k))
+    """Pushforward of mu under depth-k truncation, recanonicalized; atoms on
+    one rep graph share its entry memo (see ``canonical.depth_class``)."""
+    roots = ((mu.rep(atom).graph, mu.rep(atom).root, w) for atom, w in mu.atoms.items())
+    return LocalMeasure(*_ball_classes(roots, k))
 
 
 def project_unmarked(mu: LocalMeasure) -> LocalMeasure:

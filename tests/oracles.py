@@ -16,7 +16,11 @@ slower reference:
   ordered pair of a component, where the package balances edges only;
 - ``dense_transport`` takes the matrix and target types and the postcondition
   checks, and checks the column-sparse transport against the dense
-  colours x n algorithm it replaced.
+  colours x n algorithm it replaced;
+- ``depth_classes_oracle``, ``direction_element_oracle`` and
+  ``truncate_measure_oracle`` take ``ball`` and ``canonicalize`` and check
+  the depth-k codes written from the directed-entry memo against the
+  per-ball path they replaced.
 """
 from fractions import Fraction
 
@@ -346,6 +350,32 @@ def certificate_oracle(g: MarkedGraph, roots: tuple[int, ...], order: list[int])
     edges.sort()
     rts = ",".join(str(pos[r]) for r in roots)
     return f"n={g.n};r={rts};t={tau};e={'|'.join(edges)}"
+
+
+def depth_classes_oracle(g: MarkedGraph, k: int) -> list:
+    """Depth-k class of every vertex, each ball built and canonicalized."""
+    from localgraphs.canonical import canonicalize
+    from localgraphs.graphs import ball
+
+    return [canonicalize(ball(g, v, k)) for v in range(g.n)]
+
+
+def direction_element_oracle(g: MarkedGraph, u: int, v: int, k: int) -> tuple[str, bytes]:
+    """The F-element of the directed edge (u, v): its mark and the code of
+    v's depth-(k-1) ball in g minus uv, built and canonicalized."""
+    from localgraphs.canonical import canonicalize
+    from localgraphs.graphs import ball
+
+    return (g.xi[(u, v)], canonicalize(ball(g, v, k - 1, exclude_edge=(u, v))).code)
+
+
+def truncate_measure_oracle(mu, k: int):
+    """Pushforward of mu under depth-k truncation, every rep's ball built."""
+    from localgraphs.graphs import truncate
+    from localgraphs.measures import pushforward
+
+    return pushforward(mu, lambda rg: truncate(rg, k))
+
 
 # --- the dense colours x n transport ------------------------------------------
 

@@ -88,6 +88,22 @@ def test_bad_mark_counts_exit_one(capsys, u, m, named):
     assert re.search(rf"\b{re.escape(named)}\b", err)
 
 
+@pytest.mark.parametrize(
+    "option,u,m,item",
+    [("--u", "s,t:1", "a.b:1", "'s'"), ("--m", "s:1,t:1", "a.b:x", "'a.b:x'")],
+    ids=["u_item_without_count", "m_count_not_an_integer"],
+)
+def test_mark_count_item_without_a_count_is_named(capsys, option, u, m, item):
+    code, out, err = run(
+        capsys,
+        "enumerate", "--degrees", "1,1",
+        "--theta", "s,t", "--xi", "a,b", "--u", u, "--m", m,
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {option} item {item} needs a count (key:count)\n"
+    assert "Traceback" not in err
+
+
 def test_edge_mark_pair_in_either_order_samples_the_same(capsys):
     outs = set()
     for m in ("a.a:1,b.a:2", "a.a:1,a.b:2"):

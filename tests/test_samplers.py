@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from localgraphs.canonical import canonicalize
+from localgraphs.cli import main
 from localgraphs.enumeration import enumerate_graphs
 from localgraphs.errors import AttemptsExhausted, CountMismatch, NonGraphical
 from localgraphs.graphs import DegreeSequence, MarkAlphabets, rooted_component
@@ -62,6 +63,27 @@ def test_degrees_always_exact():
 def test_nongraphical_rejected_up_front():
     with pytest.raises(NonGraphical):
         sample_uniform_graph(DegreeSequence((4, 2)), random.Random(3))
+
+
+def test_a_batch_of_draws_checks_graphicality_once(monkeypatch, capsys):
+    """``sample --count 50`` draws 50 graphs on one sequence; its Erdős–Gallai
+    verdict is computed once and kept with the sequence."""
+    calls = []
+    check = DegreeSequence.is_graphical
+
+    def counted(self):
+        calls.append(self.ell)
+        return check(self)
+
+    monkeypatch.setattr(DegreeSequence, "is_graphical", counted)
+    assert main(["sample", "--degrees", "3,3,2,2,1,1", "--seed", "5", "--count", "50"]) == 0
+    assert capsys.readouterr().out.count("graph 6") == 50
+    assert calls == [(3, 3, 2, 2, 1, 1)]
+    ell = DegreeSequence((4, 2))
+    for _ in range(2):
+        with pytest.raises(NonGraphical):
+            sample_uniform_graph(ell, random.Random(3))
+    assert calls[1:] == [(4, 2)]
 
 
 def test_perfect_matching_frequencies_are_uniform():
