@@ -21,7 +21,8 @@ entry of v seen from its parent p with r levels left depends on (p, v, r)
 alone, so one memo over g's directed edges serves every ball (the AHU tree
 code of Aho, Hopcroft & Ullman, as a directed-type recursion), and a
 tree-shaped ball's certificate is written from it without building the ball.
-Any other ball is built and canonicalized.
+Any other ball is built and canonicalized, unless it holds the whole graph and
+the caller knows the graph's class at that root.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .graphs import MarkAlphabets, MarkedGraph, RootedMarkedGraph, ball, build_graph, truncate
+from .graphs import MarkAlphabets, MarkedGraph, RootedMarkedGraph, ball, build_graph
 
 
 @dataclass(frozen=True, order=True)
@@ -330,15 +331,18 @@ def canonicalize(g: RootedMarkedGraph) -> CanonicalClass:
 
 
 #: E(p, v, r) -> the entry of v seen from its parent p with r levels left,
-#: and a tree ball's signature -> its class; see depth_class.
-EntryMemo = dict[tuple[int, int, int] | str, str | CanonicalClass]
+#: a tree ball's signature -> its class, and a vertex v -> the class of g
+#: rooted at v, where the caller knows it; see depth_class.
+EntryMemo = dict[tuple[int, int, int] | str | int, str | CanonicalClass]
 
 
 def depth_class(g: MarkedGraph, parent: int, root: int, r: int, memo: EntryMemo) -> CanonicalClass:
     """Class of the depth-r ball of root in g minus the edge to ``parent``
     (-1 for none), written from g and the entry memo, which the caller keeps
     for one graph and one call, when the ball is a tree; otherwise the ball
-    is built and canonicalized.
+    is built and canonicalized.  A ball with no edge excluded that holds every
+    vertex of g is g itself, so when the caller has put g's class at root
+    under the key root, that class is returned and no search runs.
 
     The walk away from parent is the ball, and a tree, exactly when no walk
     vertex has a neighbour in the ball besides its parent; a walk that
@@ -355,8 +359,10 @@ def depth_class(g: MarkedGraph, parent: int, root: int, r: int, memo: EntryMemo)
         for c in adj[v]:
             if c != p:
                 if c in seen:
-                    cut = (parent, root) if parent >= 0 else None
-                    return canonicalize(ball(g, root, r, exclude_edge=cut))
+                    if parent >= 0:
+                        return canonicalize(ball(g, root, r, exclude_edge=(parent, root)))
+                    b = ball(g, root, r)
+                    return memo[root] if b.n == g.n and root in memo else canonicalize(b)
                 if d:
                     seen.add(c)
                     walk.append((v, c, d - 1))
@@ -442,11 +448,14 @@ def radius_profile(
     """Classes of the depth-r truncations of g for r = 0 .. eccentricity - 1,
     followed by the class of g itself (``cls`` when the caller knows it).
 
-    Entry r is the class of ``truncate(g, r)``, and for r past the end it is
-    the last entry, since truncating beyond the eccentricity gives back g.
+    Entry r is the class of the depth-r ball of the root, read with
+    ``depth_class`` over one entry memo for the call, so a tree-shaped ball is
+    written without being built; for r past the end it is the last entry,
+    since truncating beyond the eccentricity gives back g.
     """
-    full = canonicalize(g) if cls is None else cls
-    return tuple(canonicalize(truncate(g, r)) for r in range(g.eccentricity())) + (full,)
+    memo: EntryMemo = {}
+    depths = [depth_class(g.graph, -1, g.root, r, memo) for r in range(g.eccentricity())]
+    return tuple(depths) + (canonicalize(g) if cls is None else cls,)
 
 
 def profile_distance(p: tuple[CanonicalClass, ...], q: tuple[CanonicalClass, ...]) -> Fraction:

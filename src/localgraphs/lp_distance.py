@@ -12,7 +12,9 @@ depth-r truncations.  Threshold 0 gives d_TV, which is at most 1, and a
 threshold that no pair realizes never lowers the minimum, since the excess is
 constant between realized distances.  Hence d_LP = min(d_TV, min over r of
 max(1/(2 + r), e_r)), with r below the largest eccentricity among the atoms.
-All arithmetic is rational.
+All arithmetic is exact: the mass sums run on integer numerators over the
+common denominator of both measures' weights, and each distance is divided
+into a ``Fraction`` once.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from collections import defaultdict, deque
 from fractions import Fraction
 
 from .canonical import CanonicalClass, radius_profile
-from .measures import LocalMeasure
+from .measures import LocalMeasure, integer_weights
 
 
 def max_flow(n: int, capacity: dict[tuple[int, int], Fraction], s: int, t: int) -> Fraction:
@@ -56,31 +58,38 @@ def max_flow(n: int, capacity: dict[tuple[int, int], Fraction], s: int, t: int) 
         flow += bottleneck
 
 
-def _half_l1(x: dict[CanonicalClass, Fraction], y: dict[CanonicalClass, Fraction]) -> Fraction:
-    keys = set(x) | set(y)
-    return sum((abs(x.get(k, 0) - y.get(k, 0)) for k in keys), Fraction(0)) / 2
+def _half_l1(x: dict[CanonicalClass, int], y: dict[CanonicalClass, int], den: int) -> Fraction:
+    """Half the L1 distance between two weight vectors of numerators over den."""
+    return Fraction(sum([abs(x.get(k, 0) - y.get(k, 0)) for k in x.keys() | y.keys()]), 2 * den)
 
 
 def total_variation(mu: LocalMeasure, nu: LocalMeasure) -> Fraction:
     """Exact d_TV = half the L1 distance between atom weight vectors."""
-    return _half_l1(mu.atoms, nu.atoms)
+    den, (x, y) = integer_weights(mu.atoms, nu.atoms)
+    return _half_l1(x, y, den)
 
 
 def levy_prokhorov(mu: LocalMeasure, nu: LocalMeasure) -> Fraction:
-    """Exact d_LP(mu, nu) for finitely supported measures on canonical classes."""
+    """Exact d_LP(mu, nu) for finitely supported measures on canonical classes.
+
+    Each support atom has one radius profile, read from its representative
+    with ``radius_profile``; the depth-r masses of each measure are integer
+    numerators over one common denominator.
+    """
     # one radius profile per atom; entry min(r, len - 1) is the depth-r class
     profile = {a: radius_profile(mu.rep(a), a) for a in mu.support()}
     profile.update((b, radius_profile(nu.rep(b), b)) for b in nu.support() if b not in profile)
+    den, (x, y) = integer_weights(mu.atoms, nu.atoms)
 
-    def at_depth(m: LocalMeasure, r: int) -> dict[CanonicalClass, Fraction]:
-        out: dict[CanonicalClass, Fraction] = defaultdict(Fraction)
-        for a, w in m.atoms.items():
+    def at_depth(m: dict[CanonicalClass, int], r: int) -> dict[CanonicalClass, int]:
+        out: dict[CanonicalClass, int] = defaultdict(int)
+        for a, w in m.items():
             out[profile[a][min(r, len(profile[a]) - 1)]] += w
         return out
 
-    best = total_variation(mu, nu)
+    best = _half_l1(x, y, den)
     for r in range(max(len(p) for p in profile.values()) - 1):
-        eps, excess = Fraction(1, 2 + r), _half_l1(at_depth(mu, r), at_depth(nu, r))
+        eps, excess = Fraction(1, 2 + r), _half_l1(at_depth(x, r), at_depth(y, r), den)
         best = min(best, max(eps, excess))
         if excess >= eps:
             # e_r only grows with r while 1/(2 + r) shrinks

@@ -1,15 +1,19 @@
 """Finitely supported measures on canonical classes and operations on them.
 
 Weights are exact rationals throughout, so mass conservation and measure
-equality are tested with ``==`` rather than tolerances.  A measure keeps a
+equality are tested with ``==`` rather than tolerances.  Sums of weights run
+on integer numerators over one common denominator (``integer_weights``), and
+each result is divided into a ``Fraction`` once.  A measure keeps a
 representative rooted graph per atom; representatives are reconstructed from
 the self-describing canonical codes when a measure is read back from a file.
 """
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .canonical import (
     CanonicalClass,
@@ -24,17 +28,32 @@ from .canonical import (
 from .graphs import MarkedGraph, RootedMarkedGraph, ball
 
 
+def integer_weights(*weights: Mapping[object, int | Fraction]) -> tuple[int, list[dict]]:
+    """One common denominator of every given weight, the lcm of theirs, and
+    each map's weights as integer numerators over it."""
+    den = math.lcm(*(w.denominator for m in weights for w in m.values()))
+    return den, [{k: w.numerator * (den // w.denominator) for k, w in m.items()} for m in weights]
+
+
 @dataclass(frozen=True)
 class LocalMeasure:
-    """Probability measure with finite support on canonical classes."""
+    """Probability measure with finite support on canonical classes.
 
-    atoms: dict[CanonicalClass, Fraction]
+    Each weight is an ``int`` or a ``Fraction``, positive, and the weights
+    sum to one exactly; the sum is taken over integer numerators.
+    """
+
+    atoms: dict[CanonicalClass, int | Fraction]
     reps: dict[CanonicalClass, RootedMarkedGraph] = field(default_factory=dict)
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.atoms.values()):
-            raise ValueError("weights must be positive")
-        if sum(self.atoms.values(), Fraction(0)) != 1:
+        for atom, w in self.atoms.items():
+            if not isinstance(w, (int, Fraction)):
+                raise ValueError(f"atom {atom.hex()} has weight {w!r}, not an int or a Fraction")
+            if w.numerator <= 0:
+                raise ValueError("weights must be positive")
+        den, (num,) = integer_weights(self.atoms)
+        if sum(num.values()) != den:
             raise ValueError("weights must sum to one")
 
     def __eq__(self, other):
@@ -85,7 +104,7 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if depth is not None:
-        counts, reps = _ball_classes(((g, v, 1) for v in range(g.n)), depth)
+        counts, reps = _ball_classes(((g, v, 1, None) for v in range(g.n)), depth)
         return LocalMeasure({cls: Fraction(c, g.n) for cls, c in counts.items()}, reps)
     rooted: dict[int, tuple[MarkedGraph, int, CanonicalClass]] = {}
     counts: dict[CanonicalClass, int] = {}
@@ -103,29 +122,41 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
     return LocalMeasure({cls: Fraction(c, g.n) for cls, c in counts.items()}, reps)
 
 
-def _ball_classes(roots: Iterable[tuple[MarkedGraph, int, int | Fraction]], k: int):
-    """The summed weight and the rep of each depth-k class of the weighted
-    roots (graph, vertex, weight), in order of first root.  Each graph has
-    one entry memo for the call, and only the first root of a class has its
-    ball built, so classes, order and reps are those of building every ball."""
+def _ball_classes(roots: Iterable[tuple[MarkedGraph, int, int, CanonicalClass | None]], k: int):
+    """The summed integer weight and the rep of each depth-k class of the
+    weighted roots (graph, vertex, weight, class of the rooted graph or
+    None), in order of first root.  Each graph has one entry memo for the
+    call, and only the first root of a class has its ball built (a ball that
+    is the whole rooted graph is that graph), so classes, order and reps are
+    those of building every ball."""
     # the caller holds every graph for the whole call, so id(g) names one graph
     memos: dict[int, EntryMemo] = {}
-    weights: dict[CanonicalClass, int | Fraction] = {}
+    weights: dict[CanonicalClass, int] = {}
     reps: dict[CanonicalClass, RootedMarkedGraph] = {}
-    for g, v, w in roots:
-        cls = depth_class(g, -1, v, k, memos.setdefault(id(g), {}))
+    for g, v, w, whole in roots:
+        memo = memos.setdefault(id(g), {})
+        if whole is not None:
+            memo[v] = whole
+        cls = depth_class(g, -1, v, k, memo)
         if cls in reps:
             weights[cls] += w
         else:
-            weights[cls], reps[cls] = w, ball(g, v, k)
+            weights[cls], reps[cls] = w, RootedMarkedGraph(g, v) if cls == whole else ball(g, v, k)
     return weights, reps
 
 
 def truncate_measure(mu: LocalMeasure, k: int) -> LocalMeasure:
-    """Pushforward of mu under depth-k truncation, recanonicalized; atoms on
-    one rep graph share its entry memo (see ``canonical.depth_class``)."""
-    roots = ((mu.rep(atom).graph, mu.rep(atom).root, w) for atom, w in mu.atoms.items())
-    return LocalMeasure(*_ball_classes(roots, k))
+    """Pushforward of mu under depth-k truncation, recanonicalized.
+
+    Atoms on one rep graph share its entry memo (see ``canonical.depth_class``),
+    and a ball with a cycle that holds the whole rep graph is the atom itself,
+    so it is not searched again and keeps the atom's rep.  Weights are summed
+    as integer numerators over the common denominator of mu's weights.
+    """
+    den, (num,) = integer_weights(mu.atoms)
+    roots = ((mu.rep(atom).graph, mu.rep(atom).root, w, atom) for atom, w in num.items())
+    weights, reps = _ball_classes(roots, k)
+    return LocalMeasure({cls: Fraction(w, den) for cls, w in weights.items()}, reps)
 
 
 def project_unmarked(mu: LocalMeasure) -> LocalMeasure:
@@ -161,7 +192,9 @@ def check_unimodular(mu: LocalMeasure) -> UnimodularityReport:
     (v, o) orderings.  Each atom costs 2 deg(o) pair searches, not
     2 |component|.
     """
-    balance: dict[CanonicalClass, Fraction] = {}  # forward minus backward mass
+    den, (num,) = integer_weights(mu.atoms)
+    # forward minus backward mass, as numerators over den
+    balance: dict[CanonicalClass, int] = {}
     # atoms of U(G) on one component share its graph, so the backward class of
     # (o, v) is often another atom's forward class; mu holds every rep graph
     # for the whole call, so id(g) names one graph throughout
@@ -172,16 +205,16 @@ def check_unimodular(mu: LocalMeasure) -> UnimodularityReport:
             memo[(id(g), o, v)] = canonicalize_pair(g, o, v)
         return memo[(id(g), o, v)]
 
-    for atom, w in mu.atoms.items():
+    for atom, w in num.items():
         rg = mu.rep(atom)
         for v in rg.graph.adjacency[rg.root]:
             c1 = pair_class(rg.graph, rg.root, v)
             c2 = pair_class(rg.graph, v, rg.root)
-            balance[c1] = balance.get(c1, Fraction(0)) + w
-            balance[c2] = balance.get(c2, Fraction(0)) - w
+            balance[c1] = balance.get(c1, 0) + w
+            balance[c2] = balance.get(c2, 0) - w
     for cls in sorted(balance):
         if balance[cls]:
-            return UnimodularityReport(False, cls, balance[cls])
+            return UnimodularityReport(False, cls, Fraction(balance[cls], den))
     return UnimodularityReport(True, None, Fraction(0))
 
 
@@ -190,7 +223,9 @@ def check_unimodular(mu: LocalMeasure) -> UnimodularityReport:
 #   measure <atom-count>
 #   atom <num>/<den> <canonical-code-hex>
 #
-# atoms ordered deterministically by code.
+# atoms ordered deterministically by code; <den> is positive.
+
+_WEIGHT = re.compile(r"[+-]?[0-9]+/[0-9]*[1-9][0-9]*")
 
 
 def write_measure(mu: LocalMeasure) -> str:
@@ -212,6 +247,8 @@ def read_measure(text: str) -> LocalMeasure:
         parts = ln.split()
         if parts[0] != "atom" or len(parts) != 3:
             raise ValueError(f"unrecognized line: {ln!r}")
+        if not _WEIGHT.fullmatch(parts[1]):
+            raise ValueError(f"weight is not <int>/<positive int>: {ln!r}")
         num, den = parts[1].split("/")
         atoms[CanonicalClass.from_hex(parts[2])] = Fraction(int(num), int(den))
     if len(atoms) != count:

@@ -2,12 +2,12 @@
 
 Nothing here shares logic with the package's canonical-code machinery: the
 isomorphism oracle is a plain backtracking search over vertex bijections and
-the BFS is written from scratch, so agreement is meaningful evidence.  Five
-exceptions each take one piece from the package and check another against a
-slower reference:
+the BFS is written from scratch, so agreement is meaningful evidence.  The
+exceptions below each take one piece from the package and check another
+against a slower reference:
 
-- ``lp_flow_oracle`` takes the local distance and checks the closed form of
-  d_LP against the general max-flow formulation;
+- ``lp_flow_oracle`` takes the per-truncation radius profiles and checks the
+  closed form of d_LP against the general max-flow formulation;
 - ``ir_certificate_oracle`` takes the certificate serialization and checks the
   pruned search against the full one;
 - ``refine_oracle`` takes the neighbour keys and checks the cell-wise
@@ -17,10 +17,14 @@ slower reference:
 - ``dense_transport`` takes the matrix and target types and the postcondition
   checks, and checks the column-sparse transport against the dense
   colours x n algorithm it replaced;
-- ``depth_classes_oracle``, ``direction_element_oracle`` and
-  ``truncate_measure_oracle`` take ``ball`` and ``canonicalize`` and check
-  the depth-k codes written from the directed-entry memo against the
-  per-ball path they replaced.
+- ``depth_classes_oracle``, ``direction_element_oracle``,
+  ``truncate_measure_oracle`` and ``radius_profile_oracle`` take ``ball``
+  and ``canonicalize`` and check the depth-k codes written from the
+  directed-entry memo against the per-ball path they replaced;
+- ``weights_valid_oracle``, ``total_variation_oracle``,
+  ``levy_prokhorov_oracle`` and ``unimodular_edge_pairs_oracle`` sum
+  ``Fraction`` weights one by one, and check the measure layer's sums of
+  integer numerators over a common denominator.
 """
 from fractions import Fraction
 
@@ -232,12 +236,12 @@ def lp_flow_oracle(mu, nu) -> Fraction:
     the excess is constant on each interval [v, next v), where the feasible
     infimum is max(v, excess), and threshold 1 admits every pair.
     """
-    from localgraphs.canonical import profile_distance, radius_profile
+    from localgraphs.canonical import profile_distance
     from localgraphs.lp_distance import max_flow
 
     mu_atoms, nu_atoms = mu.support(), nu.support()
-    profile = {a: radius_profile(mu.rep(a), a) for a in mu_atoms}
-    profile.update((b, radius_profile(nu.rep(b), b)) for b in nu_atoms if b not in profile)
+    profile = {a: radius_profile_oracle(mu.rep(a), a) for a in mu_atoms}
+    profile.update((b, radius_profile_oracle(nu.rep(b), b)) for b in nu_atoms if b not in profile)
     dist = [[profile_distance(profile[a], profile[b]) for b in nu_atoms] for a in mu_atoms]
     p, q = len(mu_atoms), len(nu_atoms)
     s, t = p + q, p + q + 1
@@ -263,17 +267,19 @@ def lp_flow_oracle(mu, nu) -> Fraction:
     return best
 
 
-def unimodular_all_pairs_oracle(mu):
-    """Mass-transport balance over every ordered pair (o, v) of each atom's
-    component, not only adjacent ones: for each doubly-rooted class, the mass
-    of (o, v) orderings must equal the mass of (v, o) orderings."""
+def _balance_oracle(mu, partners):
+    """Mass-transport balance over the ordered pairs (o, v), v in
+    ``partners(rep)``, of each atom's rep rooted at o, each pair searched
+    afresh and each weight added as a ``Fraction``: for each doubly-rooted
+    class, the mass of (o, v) orderings must equal the mass of (v, o)
+    orderings.  The first unbalanced class in sorted order is the witness."""
     from localgraphs.canonical import canonicalize_pair
     from localgraphs.measures import UnimodularityReport
 
     balance: dict = {}
     for atom, w in mu.atoms.items():
         rg = mu.rep(atom)
-        for v in range(rg.n):
+        for v in partners(rg):
             forward = canonicalize_pair(rg.graph, rg.root, v)
             backward = canonicalize_pair(rg.graph, v, rg.root)
             balance[forward] = balance.get(forward, Fraction(0)) + w
@@ -282,6 +288,51 @@ def unimodular_all_pairs_oracle(mu):
         if balance[cls] != 0:
             return UnimodularityReport(False, cls, balance[cls])
     return UnimodularityReport(True, None, Fraction(0))
+
+
+def unimodular_all_pairs_oracle(mu):
+    """The balance over every vertex v of each atom's component, not only
+    the root's neighbours."""
+    return _balance_oracle(mu, lambda rg: range(rg.n))
+
+
+def unimodular_edge_pairs_oracle(mu):
+    """The balance over the root's neighbours v, as ``check_unimodular``
+    takes it, with ``Fraction`` sums."""
+    return _balance_oracle(mu, lambda rg: rg.graph.adjacency[rg.root])
+
+
+def weights_valid_oracle(weights) -> bool:
+    """Whether every weight is positive and their ``Fraction`` sum is one."""
+    return all(w > 0 for w in weights) and sum(weights, Fraction(0)) == 1
+
+
+def _half_l1_oracle(x: dict, y: dict) -> Fraction:
+    return sum((abs(x.get(k, 0) - y.get(k, 0)) for k in set(x) | set(y)), Fraction(0)) / 2
+
+
+def total_variation_oracle(mu, nu) -> Fraction:
+    """Half the L1 distance between the atom weights, summed as ``Fraction``s."""
+    return _half_l1_oracle(mu.atoms, nu.atoms)
+
+
+def levy_prokhorov_oracle(mu, nu) -> Fraction:
+    """d_LP as min(d_TV, min over r of max(1/(2 + r), e_r)), with the
+    depth-r masses summed as ``Fraction``s over ``radius_profile_oracle``."""
+    profile = {a: radius_profile_oracle(mu.rep(a), a) for a in mu.support()}
+    profile.update((b, radius_profile_oracle(nu.rep(b), b)) for b in nu.support())
+
+    def at_depth(m, r: int) -> dict:
+        out: dict = {}
+        for a, w in m.atoms.items():
+            key = profile[a][min(r, len(profile[a]) - 1)]
+            out[key] = out.get(key, Fraction(0)) + w
+        return out
+
+    best = total_variation_oracle(mu, nu)
+    for r in range(max(len(p) for p in profile.values()) - 1):
+        best = min(best, max(Fraction(1, 2 + r), _half_l1_oracle(at_depth(mu, r), at_depth(nu, r))))
+    return best
 
 
 def ir_certificate_oracle(g: MarkedGraph, roots: tuple[int, ...]) -> str:
@@ -367,6 +418,16 @@ def direction_element_oracle(g: MarkedGraph, u: int, v: int, k: int) -> tuple[st
     from localgraphs.graphs import ball
 
     return (g.xi[(u, v)], canonicalize(ball(g, v, k - 1, exclude_edge=(u, v))).code)
+
+
+def radius_profile_oracle(g: RootedMarkedGraph, cls=None) -> tuple:
+    """The class of ``truncate(g, r)`` for r = 0 .. eccentricity - 1, each
+    truncation built and canonicalized, then the class of g itself."""
+    from localgraphs.canonical import canonicalize
+    from localgraphs.graphs import truncate
+
+    full = canonicalize(g) if cls is None else cls
+    return tuple(canonicalize(truncate(g, r)) for r in range(g.eccentricity())) + (full,)
 
 
 def truncate_measure_oracle(mu, k: int):

@@ -322,6 +322,8 @@ MALFORMED = {
     "edge_with_two_marks": ("graph", "graph 2\nv 1 s\nv 2 s\ne 1 2 x y\ne 2 1 x x\n"),
     "measure_header_without_count": ("measure", "measure \natom 1/1 00\n"),
     "atom_without_code": ("measure", "measure 1\natom 1/1\n"),
+    "atom_weight_over_zero": ("measure", "measure 1\natom 1/0 00\n"),
+    "atom_weight_decimal": ("measure", "measure 1\natom 0.5 00\n"),
     "unknown_color": ("cds", "cds 2 1\ncolor 1 a - a - 1\nv 1 2:1\nv 2 1:1\n"),
     "vertex_out_of_range": ("cds", "cds 2 1\ncolor 1 a - a - 1\nv 1 1:1\nv 2 1:1\nv 7 1:2\n"),
     "color_without_conjugate": ("cds", "cds 2 1\ncolor 1 a - a -\nv 1 1:1\nv 2 1:1\n"),
