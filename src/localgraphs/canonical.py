@@ -6,8 +6,9 @@ mark-preserving bijection.  Codes are self-describing: ``decode_code`` rebuilds
 a representative graph, which lets measure files round-trip through codes
 alone.
 
-Trees are encoded with the classic bottom-up subtree-sorting scheme; a graph
-with a cycle goes through individualization-refinement with a
+Trees are encoded with the classic bottom-up subtree-sorting scheme, every
+root of a tree ordered by joining subtree preorders that all roots share; a
+graph with a cycle goes through individualization-refinement with a
 minimal-certificate search.  Refinement sorts integer keys whose order is that
 of the (mark, mark, colour) triples and re-signs only the cells that can
 split, and the search skips any branch that an automorphism found so far maps
@@ -21,8 +22,7 @@ entry of v seen from its parent p with r levels left depends on (p, v, r)
 alone, so one memo over g's directed edges serves every ball (the AHU tree
 code of Aho, Hopcroft & Ullman, as a directed-type recursion), and a
 tree-shaped ball's certificate is written from it without building the ball.
-Any other ball is built and canonicalized, unless it holds the whole graph and
-the caller knows the graph's class at that root.
+Any other ball is built and canonicalized.
 """
 from __future__ import annotations
 
@@ -61,19 +61,36 @@ def _edge_marks(g: MarkedGraph) -> list[tuple[int, int, str, str]]:
     return vars(g)["_edge_marks"]
 
 
+#: (num, dot) with num[i] = str(i) and dot[i] = f"{i}." for every position
+#: below the largest vertex count certified so far, so no certificate formats
+#: an int.  It grows by replacement, never in place, so a caller in another
+#: thread always holds a pair of full, correct tables.
+_POSITIONS: tuple[list[str], list[str]] = ([], [])
+
+
 def _certificate(g: MarkedGraph, roots: tuple[int, ...], order: list[int]) -> str:
-    """Serialize g under the vertex ordering ``order`` (new id = position)."""
+    """Serialize g under the vertex ordering ``order`` (new id = position).
+
+    Every tree certificate and every search leaf is written here, with the
+    positions read from ``_POSITIONS``, grown to g.n on first need.
+    """
+    global _POSITIONS
+    num, dot = _POSITIONS
+    if len(num) < g.n:
+        num = num + [str(i) for i in range(len(num), g.n)]
+        dot = dot + [f"{i}." for i in range(len(dot), g.n)]
+        _POSITIONS = num, dot
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
     tau = ",".join([g.tau[v] for v in order])
     # each edge is written from its lower position, with that end's mark first
     edges = [
-        f"{a}.{b}{fw}" if (a := pos[u]) < (b := pos[v]) else f"{b}.{a}{bw}"
+        dot[a] + num[b] + fw if (a := pos[u]) < (b := pos[v]) else dot[b] + num[a] + bw
         for u, v, fw, bw in _edge_marks(g)
     ]
     edges.sort()
-    rts = ",".join([str(pos[r]) for r in roots])
+    rts = ",".join([num[pos[r]] for r in roots])
     return f"n={g.n};r={rts};t={tau};e={'|'.join(edges)}"
 
 
@@ -93,8 +110,9 @@ def _entry(g: MarkedGraph, v: int, c: int, below: list[str], mark=()) -> str:
 
 
 def _down_entries(g: MarkedGraph, root: int, marks: dict[int, tuple[int, ...]]):
-    """BFS order and parents of the tree g from root, and the entry of every
-    vertex seen from its parent, keyed by the directed edge (parent, vertex)."""
+    """BFS order and parents of the tree g from root (whose parent is -1),
+    and the entry of every vertex seen from its parent, keyed by the
+    directed edge (parent, vertex)."""
     parent = {root: -1}
     order = [root]
     for v in order:
@@ -110,32 +128,36 @@ def _down_entries(g: MarkedGraph, root: int, marks: dict[int, tuple[int, ...]]):
     return order, parent, entry
 
 
-def _preorder(
-    g: MarkedGraph, roots: Iterable[int], entry: dict[tuple[int, int], str]
-) -> Iterator[list[int]]:
-    """Preorder DFS of the tree g from each root in turn, each vertex visiting
-    its neighbours, its parent excepted, in ascending entry order."""
-    # descending, so the stack pops the least entry first
-    kids = [
-        sorted(a, key=lambda c: entry.get((v, c), ""), reverse=True)
-        for v, a in enumerate(g.adjacency)
-    ]
-    for root in roots:
-        order: list[int] = []
-        stack = [(root, -1)]
-        while stack:
-            v, p = stack.pop()
-            order.append(v)
-            for c in kids[v]:
-                if c != p:
-                    stack.append((c, v))
-        yield order
+def _joined(head: int, parts: Iterable[list[int]]) -> list[int]:
+    """[head] followed by the parts, each appended as one list copy."""
+    out = [head]
+    for part in parts:
+        out += part
+    return out
+
+
+def _down_preorders(
+    g: MarkedGraph, bfs: list[int], parent: dict[int, int], entry: dict[tuple[int, int], str],
+    keep: bool,
+):
+    """Each vertex's neighbours in ascending entry order (a neighbour with no
+    entry first), and the preorder of every down edge (p, v) of the tree in
+    ``bfs``, the root's from p = -1: v, then the preorders of its children
+    in that order.  Filled bottom-up, each list joined from its children's,
+    which are dropped once joined unless ``keep``."""
+    kids = [sorted(a, key=lambda c: entry.get((v, c), "")) for v, a in enumerate(g.adjacency)]
+    sub: dict[tuple[int, int], list[int]] = {}
+    take = sub.get if keep else sub.pop
+    for v in reversed(bfs):
+        p = parent[v]
+        sub[(p, v)] = _joined(v, [take((v, c)) for c in kids[v] if c != p])
+    return kids, sub
 
 
 def _tree_order(g: MarkedGraph, roots: tuple[int, ...]) -> list[int]:
     """Canonical order of a tree from roots[0]: children sorted by entry."""
-    _, _, entry = _down_entries(g, roots[0], _root_marks(roots))
-    return next(_preorder(g, roots[:1], entry))
+    bfs, parent, entry = _down_entries(g, roots[0], _root_marks(roots))
+    return _down_preorders(g, bfs, parent, entry, keep=False)[1][(-1, roots[0])]
 
 
 def _tree_orders(g: MarkedGraph) -> Iterator[list[int]]:
@@ -143,13 +165,22 @@ def _tree_orders(g: MarkedGraph) -> Iterator[list[int]]:
 
     The subtree of c away from v does not depend on where the tree is rooted,
     so one down pass from vertex 0 and one up pass (rerooting) give the entry
-    of every directed edge; then each order is one DFS.
+    of every directed edge, and so its preorder: c, then the preorders of c's
+    children in ascending entry order.  Down edges are filled bottom-up and
+    up edges top-down, and each root's order is the root followed by its
+    neighbours' preorders, all joined as whole lists.  Children with equal
+    entries may be joined in either order: their subtrees are isomorphic, so
+    the certificate is the same.
     """
-    order, parent, entry = _down_entries(g, 0, {})
-    for v in order[1:]:
+    bfs, parent, entry = _down_entries(g, 0, {})
+    for v in bfs[1:]:
         p = parent[v]
         entry[(v, p)] = _entry(g, v, p, [entry[(p, c)] for c in g.adjacency[p] if c != v])
-    return _preorder(g, range(g.n), entry)
+    kids, sub = _down_preorders(g, bfs, parent, entry, keep=True)
+    for v in bfs[1:]:
+        p = parent[v]
+        sub[(v, p)] = _joined(p, [sub[(p, c)] for c in kids[p] if c != v])
+    return (_joined(r, [sub[(r, c)] for c in kids[r]]) for r in range(g.n))
 
 
 #: Per vertex, (neighbour, sort key of the edge's mark pair); see neighbour_keys.
@@ -308,8 +339,11 @@ def canonical_code(g: MarkedGraph, roots: tuple[int, ...]) -> bytes:
 def rooted_classes(g: MarkedGraph) -> list[CanonicalClass]:
     """Class of the connected graph g rooted at each vertex, in vertex order.
 
-    Entry v equals ``canonicalize(RootedMarkedGraph(g, v))``; a tree shares
-    one rerooting pass between its roots.  A cyclic graph runs one unrooted
+    Entry v equals ``canonicalize(RootedMarkedGraph(g, v))``.  A tree shares
+    one rerooting pass and the preorder of every directed edge's subtree
+    between its roots, so each root's order is joined from its neighbours'
+    preorders, list by list (``_tree_orders``), and only its certificate is
+    written per root.  A cyclic graph runs one unrooted
     individualization-refinement search for automorphisms, then one search per
     orbit of roots.
     """
@@ -331,18 +365,28 @@ def canonicalize(g: RootedMarkedGraph) -> CanonicalClass:
 
 
 #: E(p, v, r) -> the entry of v seen from its parent p with r levels left,
-#: a tree ball's signature -> its class, and a vertex v -> the class of g
-#: rooted at v, where the caller knows it; see depth_class.
-EntryMemo = dict[tuple[int, int, int] | str | int, str | CanonicalClass]
+#: and a tree ball's signature -> its class; see tree_depth_class.
+EntryMemo = dict[tuple[int, int, int] | str, str | CanonicalClass]
 
 
 def depth_class(g: MarkedGraph, parent: int, root: int, r: int, memo: EntryMemo) -> CanonicalClass:
     """Class of the depth-r ball of root in g minus the edge to ``parent``
+    (-1 for none): ``tree_depth_class`` when the ball is a tree, otherwise
+    the ball is built and canonicalized."""
+    cls = tree_depth_class(g, parent, root, r, memo)
+    if cls is None:
+        cut = (parent, root) if parent >= 0 else None
+        cls = canonicalize(ball(g, root, r, exclude_edge=cut))
+    return cls
+
+
+def tree_depth_class(
+    g: MarkedGraph, parent: int, root: int, r: int, memo: EntryMemo
+) -> CanonicalClass | None:
+    """Class of the depth-r ball of root in g minus the edge to ``parent``
     (-1 for none), written from g and the entry memo, which the caller keeps
-    for one graph and one call, when the ball is a tree; otherwise the ball
-    is built and canonicalized.  A ball with no edge excluded that holds every
-    vertex of g is g itself, so when the caller has put g's class at root
-    under the key root, that class is returned and no search runs.
+    for one graph and one call, when the ball is a tree; None otherwise, and
+    then the memo is left as it was.
 
     The walk away from parent is the ball, and a tree, exactly when no walk
     vertex has a neighbour in the ball besides its parent; a walk that
@@ -359,10 +403,7 @@ def depth_class(g: MarkedGraph, parent: int, root: int, r: int, memo: EntryMemo)
         for c in adj[v]:
             if c != p:
                 if c in seen:
-                    if parent >= 0:
-                        return canonicalize(ball(g, root, r, exclude_edge=(parent, root)))
-                    b = ball(g, root, r)
-                    return memo[root] if b.n == g.n and root in memo else canonicalize(b)
+                    return None
                 if d:
                     seen.add(c)
                     walk.append((v, c, d - 1))

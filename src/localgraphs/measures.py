@@ -18,12 +18,13 @@ from typing import Callable, Iterable, Mapping
 from .canonical import (
     CanonicalClass,
     EntryMemo,
+    _parse_code,
     canonicalize,
     canonicalize_pair,
     code_alphabets,
     decode_rooted,
-    depth_class,
     rooted_classes,
+    tree_depth_class,
 )
 from .graphs import MarkedGraph, RootedMarkedGraph, ball
 
@@ -94,12 +95,14 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
     ball from the directed-entry memo without building the ball: O(n * ball),
     and no full-depth code is built.  At full depth each component is
     extracted once and every vertex is rooted in that one subgraph, which
-    the representatives share.  A tree component of
-    m vertices costs O(m^2): one rerooting pass, then an O(m) order and
-    certificate per root.  A cyclic component costs one individualization-
-    refinement search for its automorphisms, then one search per orbit of
-    roots; each search prunes the branches that automorphisms map onto
-    explored ones.
+    the representatives share.  A tree component of m vertices costs
+    O(m^2): one rerooting pass that keeps the preorder of every directed
+    edge's subtree, then per root an order joined from its neighbours'
+    preorders, list by list, and an O(m) certificate whose positions are
+    read from a table, not formatted.  A cyclic component costs one
+    individualization-refinement search for its automorphisms, then one
+    search per orbit of roots; each search prunes the branches that
+    automorphisms map onto explored ones.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -126,29 +129,34 @@ def _ball_classes(roots: Iterable[tuple[MarkedGraph, int, int, CanonicalClass | 
     """The summed integer weight and the rep of each depth-k class of the
     weighted roots (graph, vertex, weight, class of the rooted graph or
     None), in order of first root.  Each graph has one entry memo for the
-    call, and only the first root of a class has its ball built (a ball that
-    is the whole rooted graph is that graph), so classes, order and reps are
-    those of building every ball."""
+    call, which writes every tree-shaped ball's class, and such a ball is
+    built only as the rep of a new class.  Any other ball is built once, to
+    be canonicalized (unless it holds the whole rooted graph, whose class is
+    given) and to be the rep if its class is new.  A ball that is the whole
+    rooted graph has that graph as its rep.  So classes, order and reps are
+    those of building every ball, and no ball is built twice."""
     # the caller holds every graph for the whole call, so id(g) names one graph
     memos: dict[int, EntryMemo] = {}
     weights: dict[CanonicalClass, int] = {}
     reps: dict[CanonicalClass, RootedMarkedGraph] = {}
     for g, v, w, whole in roots:
-        memo = memos.setdefault(id(g), {})
-        if whole is not None:
-            memo[v] = whole
-        cls = depth_class(g, -1, v, k, memo)
+        cls = tree_depth_class(g, -1, v, k, memos.setdefault(id(g), {}))
+        built = None
+        if cls is None:
+            built = ball(g, v, k)
+            cls = whole if whole is not None and built.n == g.n else canonicalize(built)
         if cls in reps:
             weights[cls] += w
         else:
-            weights[cls], reps[cls] = w, RootedMarkedGraph(g, v) if cls == whole else ball(g, v, k)
+            weights[cls] = w
+            reps[cls] = RootedMarkedGraph(g, v) if cls == whole else built or ball(g, v, k)
     return weights, reps
 
 
 def truncate_measure(mu: LocalMeasure, k: int) -> LocalMeasure:
     """Pushforward of mu under depth-k truncation, recanonicalized.
 
-    Atoms on one rep graph share its entry memo (see ``canonical.depth_class``),
+    Atoms on one rep graph share its entry memo (see ``canonical.tree_depth_class``),
     and a ball with a cycle that holds the whole rep graph is the atom itself,
     so it is not searched again and keeps the atom's rep.  Weights are summed
     as integer numerators over the common denominator of mu's weights.
@@ -226,6 +234,7 @@ def check_unimodular(mu: LocalMeasure) -> UnimodularityReport:
 # atoms ordered deterministically by code; <den> is positive.
 
 _WEIGHT = re.compile(r"[+-]?[0-9]+/[0-9]*[1-9][0-9]*")
+_COUNT = re.compile(r"[0-9]+")
 
 
 def write_measure(mu: LocalMeasure) -> str:
@@ -237,11 +246,14 @@ def write_measure(mu: LocalMeasure) -> str:
 
 
 def read_measure(text: str) -> LocalMeasure:
+    """Read a measure file.  A malformed header, weight or code, or a code
+    given twice, is a ``ValueError`` that names its line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "measure":
         raise ValueError("missing 'measure <atom-count>' header")
-    count = int(header[1])
+    if not _COUNT.fullmatch(header[1]):
+        raise ValueError(f"atom count is not a nonnegative int: {lines[0]!r}")
     atoms: dict[CanonicalClass, Fraction] = {}
     for ln in lines[1:]:
         parts = ln.split()
@@ -249,8 +261,15 @@ def read_measure(text: str) -> LocalMeasure:
             raise ValueError(f"unrecognized line: {ln!r}")
         if not _WEIGHT.fullmatch(parts[1]):
             raise ValueError(f"weight is not <int>/<positive int>: {ln!r}")
+        try:
+            atom = CanonicalClass.from_hex(parts[2])
+            _parse_code(atom.code)
+        except (ValueError, KeyError):
+            raise ValueError(f"code is not a canonical code in hex: {ln!r}") from None
+        if atom in atoms:
+            raise ValueError(f"code given twice: {ln!r}")
         num, den = parts[1].split("/")
-        atoms[CanonicalClass.from_hex(parts[2])] = Fraction(int(num), int(den))
-    if len(atoms) != count:
+        atoms[atom] = Fraction(int(num), int(den))
+    if len(atoms) != int(header[1]):
         raise ValueError("atom count mismatch")
     return LocalMeasure(atoms)

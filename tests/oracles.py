@@ -21,6 +21,8 @@ against a slower reference:
   ``truncate_measure_oracle`` and ``radius_profile_oracle`` take ``ball``
   and ``canonicalize`` and check the depth-k codes written from the
   directed-entry memo against the per-ball path they replaced;
+- ``tree_orders_oracle`` takes the tree entries and walks each root's
+  preorder with a stack, where the package joins shared subtree preorders;
 - ``weights_valid_oracle``, ``total_variation_oracle``,
   ``levy_prokhorov_oracle`` and ``unimodular_edge_pairs_oracle`` sum
   ``Fraction`` weights one by one, and check the measure layer's sums of
@@ -401,6 +403,31 @@ def certificate_oracle(g: MarkedGraph, roots: tuple[int, ...], order: list[int])
     edges.sort()
     rts = ",".join(str(pos[r]) for r in roots)
     return f"n={g.n};r={rts};t={tau};e={'|'.join(edges)}"
+
+
+def tree_orders_oracle(g: MarkedGraph) -> list[list[int]]:
+    """The canonical order of the tree g from each root in turn: one preorder
+    stack walk per root, each vertex visiting its neighbours, its parent
+    excepted, in ascending entry order, over the entries of every directed
+    edge from one down pass and one rerooting pass."""
+    from localgraphs.canonical import _down_entries, _entry
+
+    bfs, parent, entry = _down_entries(g, 0, {})
+    for v in bfs[1:]:
+        p = parent[v]
+        entry[(v, p)] = _entry(g, v, p, [entry[(p, c)] for c in g.adjacency[p] if c != v])
+    # descending, so the stack pops the least entry first
+    kids = [sorted(a, key=lambda c: entry[(v, c)], reverse=True) for v, a in enumerate(g.adjacency)]
+    orders = []
+    for root in range(g.n):
+        order: list[int] = []
+        stack = [(root, -1)]
+        while stack:
+            v, p = stack.pop()
+            order.append(v)
+            stack.extend([(c, v) for c in kids[v] if c != p])
+        orders.append(order)
+    return orders
 
 
 def depth_classes_oracle(g: MarkedGraph, k: int) -> list:

@@ -314,6 +314,9 @@ def test_sample_from_config_file(tmp_path, capsys):
     assert out.count("graph ") == 3
 
 
+#: the code of one vertex marked s, in hex
+SINGLE = b"n=1;r=0;t=s;e=".hex()
+
 # one malformed record per case, each in an otherwise valid file
 MALFORMED = {
     "graph_header_without_count": ("graph", "graph \nv 1 s\n"),
@@ -324,6 +327,10 @@ MALFORMED = {
     "atom_without_code": ("measure", "measure 1\natom 1/1\n"),
     "atom_weight_over_zero": ("measure", "measure 1\natom 1/0 00\n"),
     "atom_weight_decimal": ("measure", "measure 1\natom 0.5 00\n"),
+    "measure_count_not_an_int": ("measure", "measure x\natom 1/1 00\n"),
+    "atom_code_not_a_code": ("measure", "measure 1\natom 1/1 00\n"),
+    "atom_code_not_hex": ("measure", "measure 1\natom 1/1 zz\n"),
+    "atom_code_given_twice": ("measure", f"measure 2\natom 1/2 {SINGLE}\natom 1/2 {SINGLE}\n"),
     "unknown_color": ("cds", "cds 2 1\ncolor 1 a - a - 1\nv 1 2:1\nv 2 1:1\n"),
     "vertex_out_of_range": ("cds", "cds 2 1\ncolor 1 a - a - 1\nv 1 1:1\nv 2 1:1\nv 7 1:2\n"),
     "color_without_conjugate": ("cds", "cds 2 1\ncolor 1 a - a -\nv 1 1:1\nv 2 1:1\n"),
@@ -349,3 +356,24 @@ def test_malformed_record_is_a_format_error(tmp_path, capsys, kind, text):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text,line,problem",
+    [
+        ("measure x\natom 1/1 00\n", "measure x", "atom count is not a nonnegative int"),
+        ("measure 1\natom 1/1 00\n", "atom 1/1 00", "code is not a canonical code in hex"),
+        ("measure 1\natom 1/1 zz\n", "atom 1/1 zz", "code is not a canonical code in hex"),
+        (
+            f"measure 2\natom 1/2 {SINGLE}\natom 1/2 {SINGLE}\n",
+            f"atom 1/2 {SINGLE}",
+            "code given twice",
+        ),
+    ],
+    ids=["count", "code", "hex", "twice"],
+)
+def test_malformed_measure_line_is_named(tmp_path, capsys, text, line, problem):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "distance", str(path), str(path))
+    assert (code, out, err) == (1, "", f"error: {problem}: {line!r}\n")

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from localgraphs.canonical import canonicalize, local_distance, radius_profile
-from localgraphs.graphs import MarkAlphabets, rooted_component
+from localgraphs.graphs import MarkAlphabets, ball, rooted_component
 from localgraphs.lp_distance import levy_prokhorov, total_variation
 from localgraphs.measures import (
     LocalMeasure,
@@ -181,3 +181,36 @@ def test_distances_add_nothing_to_the_rep_graphs():
     for _ in range(40):
         local_distance(rng.choice(reps), rng.choice(reps))
     assert [set(vars(rg.graph)) for rg in reps] == before
+
+
+def test_truncation_builds_no_ball_twice(monkeypatch):
+    """``truncate_measure`` and ``empirical_distribution(depth=k)`` build
+    each ball at most once: a ball with a cycle, built to be canonicalized,
+    is also the rep of its class when that is new.  Atoms, their order and
+    reps are the per-ball path's."""
+    calls, partial_cyclic = [], []
+
+    def counted(g, root, r=None, *, exclude_edge=None):
+        calls.append((id(g), root, r, exclude_edge))
+        b = ball(g, root, r, exclude_edge=exclude_edge)
+        if len(b.graph.edges) >= b.n and b.n < len(g.component(root)):
+            partial_cyclic.append(b)
+        return b
+
+    monkeypatch.setattr("localgraphs.canonical.ball", counted)
+    monkeypatch.setattr("localgraphs.measures.ball", counted)
+    for k in (1, 2, 3):
+        for _, g in families(k):
+            mu = empirical_distribution(g)
+            old = truncate_measure_oracle(mu, k)
+            calls.clear()
+            new = truncate_measure(mu, k)
+            assert len(set(calls)) == len(calls)
+            assert list(new.atoms.items()) == list(old.atoms.items())
+            assert list(new.reps.items()) == list(old.reps.items())
+            calls.clear()
+            empirical_distribution(g, depth=k)
+            assert len(set(calls)) == len(calls)
+    # the families have depth-k balls with a cycle short of the component,
+    # which both the class lookup and the rep need
+    assert partial_cyclic
