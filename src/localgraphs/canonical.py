@@ -15,7 +15,8 @@ split, and the search skips any branch that an automorphism found so far maps
 onto an explored one, so it visits about one branch per orbit: a windmill of
 k triangles rooted at its centre costs milliseconds, where the full search
 tree has 2^k k! leaves.  None of this moves a code: every certificate is the
-minimum over the full tree.
+minimum over the full tree.  The automorphisms found generate the group, so
+they give the orbits of roots and of directed edges (``dart_keys``).
 
 Depth-k codes (``depth_class``, ``depth_classes``) are read off g itself: the
 entry of v seen from its parent p with r levels left depends on (p, v, r)
@@ -160,22 +161,26 @@ def _tree_order(g: MarkedGraph, roots: tuple[int, ...]) -> list[int]:
     return _down_preorders(g, bfs, parent, entry, keep=False)[1][(-1, roots[0])]
 
 
-def _tree_orders(g: MarkedGraph) -> Iterator[list[int]]:
-    """Canonical order of the tree g rooted at each vertex in turn.
-
-    The subtree of c away from v does not depend on where the tree is rooted,
-    so one down pass from vertex 0 and one up pass (rerooting) give the entry
-    of every directed edge, and so its preorder: c, then the preorders of c's
-    children in ascending entry order.  Down edges are filled bottom-up and
-    up edges top-down, and each root's order is the root followed by its
-    neighbours' preorders, all joined as whole lists.  Children with equal
-    entries may be joined in either order: their subtrees are isomorphic, so
-    the certificate is the same.
-    """
+def _tree_entries(g: MarkedGraph):
+    """BFS order and parents of the tree g from vertex 0, and the entry of
+    every directed edge, from one down pass and one up pass (rerooting)."""
     bfs, parent, entry = _down_entries(g, 0, {})
     for v in bfs[1:]:
         p = parent[v]
         entry[(v, p)] = _entry(g, v, p, [entry[(p, c)] for c in g.adjacency[p] if c != v])
+    return bfs, parent, entry
+
+
+def _tree_orders(g: MarkedGraph) -> Iterator[list[int]]:
+    """Canonical order of the tree g rooted at each vertex in turn.
+
+    The subtree of c away from v does not depend on the root, so its entry
+    (``_tree_entries``) fixes its preorder: c, then the preorders of c's
+    children in ascending entry order.  Each root's order is the root and its
+    neighbours' preorders, all joined as whole lists; children with equal
+    entries are isomorphic, so their order does not move the certificate.
+    """
+    bfs, parent, entry = _tree_entries(g)
     kids, sub = _down_preorders(g, bfs, parent, entry, keep=True)
     for v in bfs[1:]:
         p = parent[v]
@@ -258,9 +263,9 @@ def _refine(keys: NeighbourKeys, colors: list[int]) -> tuple[list[int], list[lis
     return col, cells
 
 
-def _orbits(autos: Iterable[list[int]], cell: list[int]) -> dict[int, int]:
-    """Orbit representative of each vertex of cell under the group generated
-    by the automorphisms, each of which maps cell onto itself."""
+def _orbits(autos: Iterable, cell: list) -> dict:
+    """Orbit representative of each vertex (or directed edge) of cell under
+    the group generated by the automorphisms, each mapping cell onto itself."""
     orbit = {v: v for v in cell}
 
     def find(v: int) -> int:
@@ -274,9 +279,10 @@ def _orbits(autos: Iterable[list[int]], cell: list[int]) -> dict[int, int]:
     return {v: find(v) for v in cell}
 
 
-def _ir_certificate(g: MarkedGraph, roots: tuple[int, ...]) -> tuple[str, list[list[int]]]:
-    """Minimal certificate over refinement-consistent orderings, and the
-    automorphisms of (g, roots) the search found, as vertex maps.
+def _ir_certificate(g: MarkedGraph, roots: tuple[int, ...]) -> tuple[str, list[int], list]:
+    """Minimal certificate over refinement-consistent orderings of (g, roots),
+    the order of a leaf that writes it, and the automorphisms the search
+    found, as vertex maps.
 
     Two leaves with one certificate give an automorphism.  At a node with
     individualized path P, a target vertex in the orbit of one already
@@ -322,7 +328,37 @@ def _ir_certificate(g: MarkedGraph, roots: tuple[int, ...]) -> tuple[str, list[l
                 best = cert
         return best
 
-    return search([ranking[s] for s in init_labels], ()), autos
+    cert = search([ranking[s] for s in init_labels], ())
+    return cert, leaves[cert], autos
+
+
+def _unrooted_search(g: MarkedGraph) -> tuple[str, list[int], list]:
+    """``_ir_certificate(g, ())``, kept with g as ``neighbour_keys`` is."""
+    if "_unrooted_search" not in vars(g):
+        object.__setattr__(g, "_unrooted_search", _ir_certificate(g, ()))
+    return vars(g)["_unrooted_search"]
+
+
+def dart_keys(g: MarkedGraph) -> dict[tuple[int, int], tuple]:
+    """A key per directed edge (o, v) of the connected graph g; two edges,
+    of any graphs, share a key iff ``canonicalize_pair`` gives them one class.
+    On a tree: the entries of v from o and of o from v, the two half-trees.
+    Otherwise: g's unrooted certificate and the least positions, in the
+    order writing it, over the orbit of (o, v) under the found automorphisms,
+    which generate the group, so positions share an orbit iff pairs a class."""
+    if _is_tree(g):
+        entry = _tree_entries(g)[2]
+        return {(o, v): (x, entry[(v, o)]) for (o, v), x in entry.items()}
+    cert, order, autos = _unrooted_search(g)
+    pos = {v: i for i, v in enumerate(order)}
+    # darts as position pairs, in ascending order, so an orbit's first is its least
+    darts = sorted((pos[o], pos[v]) for o, v in g.xi)
+    moved = ({(pos[o], pos[v]): (pos[a[o]], pos[a[v]]) for o, v in g.xi} for a in autos)
+    rep = _orbits(moved, darts)
+    least: dict[tuple[int, int], tuple[int, int]] = {}
+    for d in darts:
+        least.setdefault(rep[d], d)
+    return {(o, v): (cert, *least[rep[(pos[o], pos[v])]]) for o, v in g.xi}
 
 
 def canonical_code(g: MarkedGraph, roots: tuple[int, ...]) -> bytes:
@@ -344,8 +380,8 @@ def rooted_classes(g: MarkedGraph) -> list[CanonicalClass]:
     between its roots, so each root's order is joined from its neighbours'
     preorders, list by list (``_tree_orders``), and only its certificate is
     written per root.  A cyclic graph runs one unrooted
-    individualization-refinement search for automorphisms, then one search per
-    orbit of roots.
+    individualization-refinement search for automorphisms, kept with g
+    (``_unrooted_search``), then one search per orbit of roots.
     """
     if not g.is_connected():
         raise ValueError("graph must be connected")
@@ -353,7 +389,7 @@ def rooted_classes(g: MarkedGraph) -> list[CanonicalClass]:
         certs = (_certificate(g, (r,), order) for r, order in enumerate(_tree_orders(g)))
     else:
         # roots in one orbit of g's automorphisms share a class
-        rep = _orbits(_ir_certificate(g, ())[1], list(range(g.n)))
+        rep = _orbits(_unrooted_search(g)[2], list(range(g.n)))
         by_rep = {r: _ir_certificate(g, (r,))[0] for r in set(rep.values())}
         certs = (by_rep[rep[r]] for r in range(g.n))
     return [CanonicalClass(cert.encode()) for cert in certs]

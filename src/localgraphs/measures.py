@@ -6,6 +6,9 @@ on integer numerators over one common denominator (``integer_weights``), and
 each result is divided into a ``Fraction`` once.  A measure keeps a
 representative rooted graph per atom; representatives are reconstructed from
 the self-describing canonical codes when a measure is read back from a file.
+Unimodularity is balanced on a key per directed edge of a rep graph
+(``canonical.dart_keys``), not on edge-rooted pair classes, so checking U(G)
+runs no search.
 """
 from __future__ import annotations
 
@@ -18,10 +21,10 @@ from typing import Callable, Iterable, Mapping
 from .canonical import (
     CanonicalClass,
     EntryMemo,
-    _parse_code,
     canonicalize,
     canonicalize_pair,
     code_alphabets,
+    dart_keys,
     decode_rooted,
     rooted_classes,
     tree_depth_class,
@@ -94,15 +97,9 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
     With a depth, each vertex's ball class is read off once, a tree-shaped
     ball from the directed-entry memo without building the ball: O(n * ball),
     and no full-depth code is built.  At full depth each component is
-    extracted once and every vertex is rooted in that one subgraph, which
-    the representatives share.  A tree component of m vertices costs
-    O(m^2): one rerooting pass that keeps the preorder of every directed
-    edge's subtree, then per root an order joined from its neighbours'
-    preorders, list by list, and an O(m) certificate whose positions are
-    read from a table, not formatted.  A cyclic component costs one
-    individualization-refinement search for its automorphisms, then one
-    search per orbit of roots; each search prunes the branches that
-    automorphisms map onto explored ones.
+    extracted once, and ``rooted_classes`` roots every vertex in that one
+    subgraph, which the representatives share, with the component's
+    unrooted search (for ``check_unimodular``).
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -197,32 +194,34 @@ def check_unimodular(mu: LocalMeasure) -> UnimodularityReport:
     on adjacent pairs.  Finite support reduces that quantifier to a finite
     system: for each doubly-rooted class of an edge (o, v), the mass
     aggregated from (o, v) orderings must equal the mass aggregated from
-    (v, o) orderings.  Each atom costs 2 deg(o) pair searches, not
-    2 |component|.
+    (v, o) orderings.  That balance is taken on ``canonical.dart_keys``,
+    which are in bijection with the classes: a cyclic graph's key is its
+    unrooted certificate with the edge's least positions over its orbit under
+    the found automorphisms, and the search prunes only subtrees that found
+    automorphisms map onto explored ones, so every automorphism is a product
+    of found ones.  Only an unbalanced key pays a ``canonicalize_pair``, to
+    name its class; the witness is the least of those classes.
     """
     den, (num,) = integer_weights(mu.atoms)
-    # forward minus backward mass, as numerators over den
-    balance: dict[CanonicalClass, int] = {}
-    # atoms of U(G) on one component share its graph, so the backward class of
-    # (o, v) is often another atom's forward class; mu holds every rep graph
+    # forward minus backward mass, as numerators over den, and one edge per key
+    balance: dict[tuple, int] = {}
+    edge: dict[tuple, tuple[MarkedGraph, int, int]] = {}
+    # atoms of U(G) on one component share its graph; mu holds every rep graph
     # for the whole call, so id(g) names one graph throughout
-    memo: dict[tuple[int, int, int], CanonicalClass] = {}
-
-    def pair_class(g: MarkedGraph, o: int, v: int) -> CanonicalClass:
-        if (id(g), o, v) not in memo:
-            memo[(id(g), o, v)] = canonicalize_pair(g, o, v)
-        return memo[(id(g), o, v)]
-
+    keys: dict[int, dict[tuple[int, int], tuple]] = {}
     for atom, w in num.items():
-        rg = mu.rep(atom)
-        for v in rg.graph.adjacency[rg.root]:
-            c1 = pair_class(rg.graph, rg.root, v)
-            c2 = pair_class(rg.graph, v, rg.root)
-            balance[c1] = balance.get(c1, 0) + w
-            balance[c2] = balance.get(c2, 0) - w
-    for cls in sorted(balance):
-        if balance[cls]:
-            return UnimodularityReport(False, cls, Fraction(balance[cls], den))
+        g, o = mu.rep(atom).graph, mu.rep(atom).root
+        if id(g) not in keys:
+            keys[id(g)] = dart_keys(g)
+        for v in g.adjacency[o]:
+            for a, b, sign in ((o, v, w), (v, o, -w)):
+                key = keys[id(g)][(a, b)]
+                balance[key] = balance.get(key, 0) + sign
+                edge.setdefault(key, (g, a, b))
+    unbalanced = [(canonicalize_pair(*edge[key]), m) for key, m in balance.items() if m]
+    if unbalanced:
+        cls, m = min(unbalanced, key=lambda item: item[0])
+        return UnimodularityReport(False, cls, Fraction(m, den))
     return UnimodularityReport(True, None, Fraction(0))
 
 
@@ -246,8 +245,9 @@ def write_measure(mu: LocalMeasure) -> str:
 
 
 def read_measure(text: str) -> LocalMeasure:
-    """Read a measure file.  A malformed header, weight or code, or a code
-    given twice, is a ``ValueError`` that names its line."""
+    """Read a measure file.  A malformed header or weight, a code that does
+    not decode to a rooted graph, or a code given twice, is a ``ValueError``
+    that names its line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "measure":
@@ -263,8 +263,8 @@ def read_measure(text: str) -> LocalMeasure:
             raise ValueError(f"weight is not <int>/<positive int>: {ln!r}")
         try:
             atom = CanonicalClass.from_hex(parts[2])
-            _parse_code(atom.code)
-        except (ValueError, KeyError):
+            decode_rooted(atom.code)
+        except (ValueError, KeyError, IndexError):
             raise ValueError(f"code is not a canonical code in hex: {ln!r}") from None
         if atom in atoms:
             raise ValueError(f"code given twice: {ln!r}")

@@ -410,12 +410,9 @@ def tree_orders_oracle(g: MarkedGraph) -> list[list[int]]:
     stack walk per root, each vertex visiting its neighbours, its parent
     excepted, in ascending entry order, over the entries of every directed
     edge from one down pass and one rerooting pass."""
-    from localgraphs.canonical import _down_entries, _entry
+    from localgraphs.canonical import _tree_entries
 
-    bfs, parent, entry = _down_entries(g, 0, {})
-    for v in bfs[1:]:
-        p = parent[v]
-        entry[(v, p)] = _entry(g, v, p, [entry[(p, c)] for c in g.adjacency[p] if c != v])
+    entry = _tree_entries(g)[2]
     # descending, so the stack pops the least entry first
     kids = [sorted(a, key=lambda c: entry[(v, c)], reverse=True) for v, a in enumerate(g.adjacency)]
     orders = []

@@ -316,6 +316,8 @@ def test_sample_from_config_file(tmp_path, capsys):
 
 #: the code of one vertex marked s, in hex
 SINGLE = b"n=1;r=0;t=s;e=".hex()
+#: parses as a code, but its vertex marks name one vertex of two
+SHORT_TAU = b"n=2;r=0;t=s;e=".hex()
 
 # one malformed record per case, each in an otherwise valid file
 MALFORMED = {
@@ -365,12 +367,17 @@ def test_malformed_record_is_a_format_error(tmp_path, capsys, kind, text):
         ("measure 1\natom 1/1 00\n", "atom 1/1 00", "code is not a canonical code in hex"),
         ("measure 1\natom 1/1 zz\n", "atom 1/1 zz", "code is not a canonical code in hex"),
         (
+            f"measure 1\natom 1/1 {SHORT_TAU}\n",
+            f"atom 1/1 {SHORT_TAU}",
+            "code is not a canonical code in hex",
+        ),
+        (
             f"measure 2\natom 1/2 {SINGLE}\natom 1/2 {SINGLE}\n",
             f"atom 1/2 {SINGLE}",
             "code given twice",
         ),
     ],
-    ids=["count", "code", "hex", "twice"],
+    ids=["count", "code", "hex", "decode", "twice"],
 )
 def test_malformed_measure_line_is_named(tmp_path, capsys, text, line, problem):
     path = tmp_path / "bad.txt"
