@@ -279,23 +279,26 @@ def _orbits(autos: Iterable, cell: list) -> dict:
     return {v: find(v) for v in cell}
 
 
-def _ir_certificate(g: MarkedGraph, roots: tuple[int, ...]) -> tuple[str, list[int], list]:
+def _ir_certificate(
+    g: MarkedGraph, roots: tuple[int, ...], known: Iterable[list[int]] = ()
+) -> tuple[str, list[int], list]:
     """Minimal certificate over refinement-consistent orderings of (g, roots),
     the order of a leaf that writes it, and the automorphisms the search
-    found, as vertex maps.
+    found, as vertex maps, after the ``known`` automorphisms of (g, roots)
+    that it starts from.
 
     Two leaves with one certificate give an automorphism.  At a node with
     individualized path P, a target vertex in the orbit of one already
-    explored, under the automorphisms found so far that fix P pointwise, roots
-    an image of an explored subtree, so it is skipped: the minimum certificate
-    cannot move (McKay & Piperno 2014).
+    explored, under the automorphisms known or found so far that fix P
+    pointwise, roots an image of an explored subtree, so it is skipped: the
+    minimum certificate cannot move (McKay & Piperno 2014).
     """
     keys = neighbour_keys(g)
     marks = _root_marks(roots)
     init_labels = [(marks.get(v, ()), g.tau[v]) for v in range(g.n)]
     ranking = {s: i for i, s in enumerate(sorted(set(init_labels)))}
     leaves: dict[str, list[int]] = {}  # first leaf order with each certificate
-    autos: list[list[int]] = []
+    autos: list[list[int]] = list(known)
 
     def search(colors: list[int], path: tuple[int, ...]) -> str:
         colors, cells = _refine(keys, colors)
@@ -381,7 +384,8 @@ def rooted_classes(g: MarkedGraph) -> list[CanonicalClass]:
     preorders, list by list (``_tree_orders``), and only its certificate is
     written per root.  A cyclic graph runs one unrooted
     individualization-refinement search for automorphisms, kept with g
-    (``_unrooted_search``), then one search per orbit of roots.
+    (``_unrooted_search``), then one search per orbit of roots, which starts
+    from the automorphisms found that fix its root.
     """
     if not g.is_connected():
         raise ValueError("graph must be connected")
@@ -389,8 +393,13 @@ def rooted_classes(g: MarkedGraph) -> list[CanonicalClass]:
         certs = (_certificate(g, (r,), order) for r, order in enumerate(_tree_orders(g)))
     else:
         # roots in one orbit of g's automorphisms share a class
-        rep = _orbits(_unrooted_search(g)[2], list(range(g.n)))
-        by_rep = {r: _ir_certificate(g, (r,))[0] for r in set(rep.values())}
+        autos = _unrooted_search(g)[2]
+        rep = _orbits(autos, list(range(g.n)))
+        # those fixing r are automorphisms of (g, r), so they prune its search
+        by_rep = {
+            r: _ir_certificate(g, (r,), [a for a in autos if a[r] == r])[0]
+            for r in set(rep.values())
+        }
         certs = (by_rep[rep[r]] for r in range(g.n))
     return [CanonicalClass(cert.encode()) for cert in certs]
 
@@ -519,11 +528,9 @@ def is_isomorphic(a: RootedMarkedGraph, b: RootedMarkedGraph) -> bool:
     return canonicalize(a) == canonicalize(b)
 
 
-def radius_profile(
-    g: RootedMarkedGraph, cls: CanonicalClass | None = None
-) -> tuple[CanonicalClass, ...]:
+def radius_profile(g: RootedMarkedGraph) -> tuple[CanonicalClass, ...]:
     """Classes of the depth-r truncations of g for r = 0 .. eccentricity - 1,
-    followed by the class of g itself (``cls`` when the caller knows it).
+    followed by the class of g itself.
 
     Entry r is the class of the depth-r ball of the root, read with
     ``depth_class`` over one entry memo for the call, so a tree-shaped ball is
@@ -532,7 +539,7 @@ def radius_profile(
     """
     memo: EntryMemo = {}
     depths = [depth_class(g.graph, -1, g.root, r, memo) for r in range(g.eccentricity())]
-    return tuple(depths) + (canonicalize(g) if cls is None else cls,)
+    return tuple(depths) + (canonicalize(g),)
 
 
 def profile_distance(p: tuple[CanonicalClass, ...], q: tuple[CanonicalClass, ...]) -> Fraction:

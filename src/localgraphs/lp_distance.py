@@ -12,16 +12,25 @@ depth-r truncations.  Threshold 0 gives d_TV, which is at most 1, and a
 threshold that no pair realizes never lowers the minimum, since the excess is
 constant between realized distances.  Hence d_LP = min(d_TV, min over r of
 max(1/(2 + r), e_r)), with r below the largest eccentricity among the atoms.
-All arithmetic is exact: the mass sums run on integer numerators over the
-common denominator of both measures' weights, and each distance is divided
-into a ``Fraction`` once.
+
+Depth-(r + 1) classes refine depth-r classes, so e_r never decreases as r
+grows, while 1/(2 + r) falls.  ``levy_prokhorov`` therefore scans r = 0, 1,
+2, ... upward from best = d_TV.  It stops at the first r with
+e_r >= 1/(2 + r): every larger r' has max(1/(2 + r'), e_r') >= e_r', which
+is at least e_r = max(1/(2 + r), e_r).  It skips any r with 1/(2 + r) >= best,
+whose term cannot lower best; should such an r already have met the stop
+rule, every later term is at least e_r >= 1/(2 + r) >= best, and the first
+later r that is summed stops the scan.  All arithmetic is exact: the mass
+sums run on integer numerators over the common denominator of both
+measures' weights, and each distance is divided into a ``Fraction`` once.
 """
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from fractions import Fraction
 
-from .canonical import CanonicalClass, radius_profile
+from .canonical import CanonicalClass, EntryMemo, depth_class
+from .graphs import MarkedGraph
 from .measures import LocalMeasure, integer_weights
 
 
@@ -70,28 +79,42 @@ def total_variation(mu: LocalMeasure, nu: LocalMeasure) -> Fraction:
 
 
 def levy_prokhorov(mu: LocalMeasure, nu: LocalMeasure) -> Fraction:
-    """Exact d_LP(mu, nu) for finitely supported measures on canonical classes.
+    """Exact d_LP(mu, nu) for finitely supported measures on canonical classes,
+    by the upward scan over r of the module docstring.
 
-    Each support atom has one radius profile, read from its representative
-    with ``radius_profile``; the depth-r masses of each measure are integer
-    numerators over one common denominator.
+    Each atom is read where it lives: at its source (g, v, k) in a depth-k
+    measure, or else at its rep's graph and root.  Its depth-r class is
+    ``depth_class`` of v in g, over one entry memo per graph shared across
+    atoms and radii, below the atom's eccentricity and the atom itself from
+    there on, where truncation gives it back.  No rep is built.
     """
-    # one radius profile per atom; entry min(r, len - 1) is the depth-r class
-    profile = {a: radius_profile(mu.rep(a), a) for a in mu.support()}
-    profile.update((b, radius_profile(nu.rep(b), b)) for b in nu.support() if b not in profile)
     den, (x, y) = integer_weights(mu.atoms, nu.atoms)
-
-    def at_depth(m: dict[CanonicalClass, int], r: int) -> dict[CanonicalClass, int]:
-        out: dict[CanonicalClass, int] = defaultdict(int)
-        for a, w in m.items():
-            out[profile[a][min(r, len(profile[a]) - 1)]] += w
-        return out
-
     best = _half_l1(x, y, den)
-    for r in range(max(len(p) for p in profile.values()) - 1):
-        eps, excess = Fraction(1, 2 + r), _half_l1(at_depth(x, r), at_depth(y, r), den)
+    # graph, root and eccentricity of each atom of either measure
+    where: dict[CanonicalClass, tuple[MarkedGraph, int, int]] = {}
+    for m in (mu, nu):
+        for a in m.atoms:
+            if a not in where:
+                g, v, k = m.sources.get(a) or (m.rep(a).graph, m.rep(a).root, None)
+                where[a] = (g, v, max(g.bfs_layers(v, k).values()))
+    # the caller holds every graph for the whole call, so id(g) names one graph
+    memos: dict[int, EntryMemo] = {}
+    for r in range(max(ecc for _, _, ecc in where.values())):
+        eps = Fraction(1, 2 + r)
+        if eps >= best:
+            continue
+        cls = {
+            a: a if r >= ecc else depth_class(g, -1, v, r, memos.setdefault(id(g), {}))
+            for a, (g, v, ecc) in where.items()
+        }
+        masses = []
+        for m in (x, y):
+            out: dict[CanonicalClass, int] = defaultdict(int)
+            for a, w in m.items():
+                out[cls[a]] += w
+            masses.append(out)
+        excess = _half_l1(*masses, den)
         best = min(best, max(eps, excess))
         if excess >= eps:
-            # e_r only grows with r while 1/(2 + r) shrinks
             break
     return best

@@ -4,8 +4,13 @@ Weights are exact rationals throughout, so mass conservation and measure
 equality are tested with ``==`` rather than tolerances.  Sums of weights run
 on integer numerators over one common denominator (``integer_weights``), and
 each result is divided into a ``Fraction`` once.  A measure keeps a
-representative rooted graph per atom; representatives are reconstructed from
-the self-describing canonical codes when a measure is read back from a file.
+representative rooted graph per atom.  A depth-k measure (``truncate_measure``,
+``empirical_distribution(depth=k)``) also remembers where each atom lives: its
+source, a (graph, root, k) whose depth-k ball is the atom.  The rep of a
+tree-shaped class is built from its source on first read (``LocalMeasure.rep``)
+and kept, and ``lp_distance`` reads depth classes from the sources without
+building reps.  A measure read back from a file has neither: its reps are
+reconstructed from the self-describing canonical codes.
 Unimodularity is balanced on a key per directed edge of a rep graph
 (``canonical.dart_keys``), not on edge-rooted pair classes, so checking U(G)
 runs no search.
@@ -49,6 +54,8 @@ class LocalMeasure:
 
     atoms: dict[CanonicalClass, int | Fraction]
     reps: dict[CanonicalClass, RootedMarkedGraph] = field(default_factory=dict)
+    #: (graph, root, k) per atom whose depth-k ball of root in graph is the atom
+    sources: dict[CanonicalClass, tuple[MarkedGraph, int, int]] = field(default_factory=dict)
 
     def __post_init__(self):
         for atom, w in self.atoms.items():
@@ -66,7 +73,18 @@ class LocalMeasure:
         return self.atoms == other.atoms
 
     def rep(self, atom: CanonicalClass) -> RootedMarkedGraph:
-        if atom not in self.reps:
+        """The representative rooted graph of an atom.
+
+        An atom with a source (g, v, k) and no rep yet, a tree-shaped depth-k
+        class, gets the depth-k ball of v in g, built on this first read and
+        kept, so each such ball is built at most once and only if read.  An
+        atom with neither, as in a measure read back from a file, is rebuilt
+        from its code.
+        """
+        if atom not in self.reps and atom in self.sources:
+            g, v, k = self.sources[atom]
+            self.reps[atom] = ball(g, v, k)
+        elif atom not in self.reps:
             # codes are self-describing, so the missing representatives can be
             # rebuilt, all over one alphabet pair so that their mark orders agree
             alphabets = code_alphabets(a.code for a in self.atoms)
@@ -96,7 +114,8 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
 
     With a depth, each vertex's ball class is read off once, a tree-shaped
     ball from the directed-entry memo without building the ball: O(n * ball),
-    and no full-depth code is built.  At full depth each component is
+    and no full-depth code is built.  Each atom's source is (g, vertex,
+    depth), in g itself.  At full depth each component is
     extracted once, and ``rooted_classes`` roots every vertex in that one
     subgraph, which the representatives share, with the component's
     unrooted search (for ``check_unimodular``).
@@ -104,8 +123,8 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if depth is not None:
-        counts, reps = _ball_classes(((g, v, 1, None) for v in range(g.n)), depth)
-        return LocalMeasure({cls: Fraction(c, g.n) for cls, c in counts.items()}, reps)
+        counts, reps, sources = _ball_classes(((g, v, 1, None) for v in range(g.n)), depth)
+        return LocalMeasure({cls: Fraction(c, g.n) for cls, c in counts.items()}, reps, sources)
     rooted: dict[int, tuple[MarkedGraph, int, CanonicalClass]] = {}
     counts: dict[CanonicalClass, int] = {}
     reps: dict[CanonicalClass, RootedMarkedGraph] = {}
@@ -123,31 +142,38 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
 
 
 def _ball_classes(roots: Iterable[tuple[MarkedGraph, int, int, CanonicalClass | None]], k: int):
-    """The summed integer weight and the rep of each depth-k class of the
-    weighted roots (graph, vertex, weight, class of the rooted graph or
-    None), in order of first root.  Each graph has one entry memo for the
-    call, which writes every tree-shaped ball's class, and such a ball is
-    built only as the rep of a new class.  Any other ball is built once, to
-    be canonicalized (unless it holds the whole rooted graph, whose class is
-    given) and to be the rep if its class is new.  A ball that is the whole
-    rooted graph has that graph as its rep.  So classes, order and reps are
-    those of building every ball, and no ball is built twice."""
+    """The summed integer weight, the rep and the source (graph, vertex, k)
+    of each depth-k class of the weighted roots (graph, vertex, weight, class
+    of the rooted graph or None), in order of first root.  Each graph has one
+    entry memo for the call, which writes every tree-shaped ball's class
+    without building the ball; such a class gets no rep here, since
+    ``LocalMeasure.rep`` builds it from the source on first read.  Any other
+    ball is built once, to be canonicalized (unless it holds the whole rooted
+    graph, whose class is given) and to be the rep if its class is new.  A
+    ball that is the whole rooted graph has that graph as its rep.  So
+    classes, order and reps read are those of building every ball, and no
+    ball is built twice."""
     # the caller holds every graph for the whole call, so id(g) names one graph
     memos: dict[int, EntryMemo] = {}
     weights: dict[CanonicalClass, int] = {}
     reps: dict[CanonicalClass, RootedMarkedGraph] = {}
+    sources: dict[CanonicalClass, tuple[MarkedGraph, int, int]] = {}
     for g, v, w, whole in roots:
         cls = tree_depth_class(g, -1, v, k, memos.setdefault(id(g), {}))
         built = None
         if cls is None:
             built = ball(g, v, k)
             cls = whole if whole is not None and built.n == g.n else canonicalize(built)
-        if cls in reps:
+        if cls in sources:
             weights[cls] += w
-        else:
-            weights[cls] = w
-            reps[cls] = RootedMarkedGraph(g, v) if cls == whole else built or ball(g, v, k)
-    return weights, reps
+            continue
+        weights[cls] = w
+        sources[cls] = (g, v, k)
+        if cls == whole:
+            reps[cls] = RootedMarkedGraph(g, v)
+        elif built is not None:
+            reps[cls] = built
+    return weights, reps, sources
 
 
 def truncate_measure(mu: LocalMeasure, k: int) -> LocalMeasure:
@@ -155,13 +181,15 @@ def truncate_measure(mu: LocalMeasure, k: int) -> LocalMeasure:
 
     Atoms on one rep graph share its entry memo (see ``canonical.tree_depth_class``),
     and a ball with a cycle that holds the whole rep graph is the atom itself,
-    so it is not searched again and keeps the atom's rep.  Weights are summed
-    as integer numerators over the common denominator of mu's weights.
+    so it is not searched again and keeps the atom's rep.  Each new atom's
+    source is (rep graph, root, k) of the first atom of mu it comes from.
+    Weights are summed as integer numerators over the common denominator of
+    mu's weights.
     """
     den, (num,) = integer_weights(mu.atoms)
     roots = ((mu.rep(atom).graph, mu.rep(atom).root, w, atom) for atom, w in num.items())
-    weights, reps = _ball_classes(roots, k)
-    return LocalMeasure({cls: Fraction(w, den) for cls, w in weights.items()}, reps)
+    weights, reps, sources = _ball_classes(roots, k)
+    return LocalMeasure({cls: Fraction(w, den) for cls, w in weights.items()}, reps, sources)
 
 
 def project_unmarked(mu: LocalMeasure) -> LocalMeasure:

@@ -26,7 +26,9 @@ against a slower reference:
 - ``weights_valid_oracle``, ``total_variation_oracle``,
   ``levy_prokhorov_oracle`` and ``unimodular_edge_pairs_oracle`` sum
   ``Fraction`` weights one by one, and check the measure layer's sums of
-  integer numerators over a common denominator.
+  integer numerators over a common denominator; ``levy_prokhorov_oracle``
+  also reads every radius of every rep, where the package scans radii
+  upward from the atoms' sources and stops at the crossing.
 """
 from fractions import Fraction
 
@@ -319,8 +321,10 @@ def total_variation_oracle(mu, nu) -> Fraction:
 
 
 def levy_prokhorov_oracle(mu, nu) -> Fraction:
-    """d_LP as min(d_TV, min over r of max(1/(2 + r), e_r)), with the
-    depth-r masses summed as ``Fraction``s over ``radius_profile_oracle``."""
+    """d_LP as min(d_TV, min over r of max(1/(2 + r), e_r)) over every r
+    below the largest eccentricity, with no stop or skip rule, each atom's
+    depth-r class read from its rep's radius profile, and the depth-r masses
+    summed as ``Fraction``s over ``radius_profile_oracle``."""
     profile = {a: radius_profile_oracle(mu.rep(a), a) for a in mu.support()}
     profile.update((b, radius_profile_oracle(nu.rep(b), b)) for b in nu.support())
 

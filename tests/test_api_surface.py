@@ -18,7 +18,6 @@ import localgraphs
 OPTIONS = {
     "canonical.decode_code.alphabets",
     "canonical.decode_rooted.alphabets",
-    "canonical.radius_profile.cls",
     "cli.main.argv",
     "colored.add.count",
     "enumeration.enumerate_graphs.cap",

@@ -107,7 +107,7 @@ def test_truncation_matches_the_fraction_pushforward():
         for k in (0, 1, 2, 3):
             new, old = truncate_measure(mu, k), truncate_measure_oracle(mu, k)
             assert list(new.atoms.items()) == list(old.atoms.items())
-            assert list(new.reps.items()) == list(old.reps.items())
+            assert [(a, new.rep(a)) for a in new.atoms] == [(a, old.rep(a)) for a in old.atoms]
             assert all(type(w) is Fraction for w in new.atoms.values())
 
 
@@ -161,14 +161,13 @@ def test_radius_profiles_match_the_per_truncation_path(k, name, g):
     for v in range(g.n):
         rg = rooted_component(g, v)
         assert radius_profile(rg) == radius_profile_oracle(rg)
-        cls = canonicalize(rg)
-        assert radius_profile(rg, cls) == radius_profile_oracle(rg, cls)
 
 
 def test_distances_add_nothing_to_the_rep_graphs():
-    """The entry memos of ``radius_profile`` live for one call only.  What a
-    graph keeps of its own (its adjacency, and the refinement keys and edge
-    table of a cyclic graph's class) is filled in before the snapshot."""
+    """The entry memos of ``levy_prokhorov`` and ``radius_profile`` live for
+    one call only.  What a graph keeps of its own (its adjacency, and the
+    refinement keys and edge table of a cyclic graph's class) is filled in
+    before the snapshot."""
     rng = random.Random(8)
     mu, nu = mixtures(8, 2)
     mu_k, nu_k = truncate_measure(mu, 2), truncate_measure(nu, 1)
@@ -186,16 +185,26 @@ def test_distances_add_nothing_to_the_rep_graphs():
 def test_truncation_builds_no_ball_twice(monkeypatch):
     """``truncate_measure`` and ``empirical_distribution(depth=k)`` build
     each ball at most once: a ball with a cycle, built to be canonicalized,
-    is also the rep of its class when that is new.  Atoms, their order and
+    is also the rep of its class when that is new, and a tree-shaped class
+    builds its ball only when its rep is first read.  Atoms, their order and
     reps are the per-ball path's."""
     calls, partial_cyclic = [], []
 
     def counted(g, root, r=None, *, exclude_edge=None):
-        calls.append((id(g), root, r, exclude_edge))
         b = ball(g, root, r, exclude_edge=exclude_edge)
+        calls.append((id(g), root, r, exclude_edge, len(b.graph.edges) < b.n))
         if len(b.graph.edges) >= b.n and b.n < len(g.component(root)):
             partial_cyclic.append(b)
         return b
+
+    def read_twice(mu):
+        """Every rep of mu in atom order, read twice: the second read builds
+        no ball."""
+        reps = [(a, mu.rep(a)) for a in mu.atoms]
+        built = len(calls)
+        assert [(a, mu.rep(a)) for a in mu.atoms] == reps
+        assert len(calls) == built
+        return reps
 
     monkeypatch.setattr("localgraphs.canonical.ball", counted)
     monkeypatch.setattr("localgraphs.measures.ball", counted)
@@ -205,11 +214,16 @@ def test_truncation_builds_no_ball_twice(monkeypatch):
             old = truncate_measure_oracle(mu, k)
             calls.clear()
             new = truncate_measure(mu, k)
+            # no tree-shaped ball is built before its rep is read
+            assert not any(tree for *_, tree in calls)
             assert len(set(calls)) == len(calls)
             assert list(new.atoms.items()) == list(old.atoms.items())
-            assert list(new.reps.items()) == list(old.reps.items())
+            assert read_twice(new) == [(a, old.rep(a)) for a in old.atoms]
+            assert len(set(calls)) == len(calls)
             calls.clear()
-            empirical_distribution(g, depth=k)
+            new = empirical_distribution(g, depth=k)
+            assert not any(tree for *_, tree in calls)
+            read_twice(new)
             assert len(set(calls)) == len(calls)
     # the families have depth-k balls with a cycle short of the component,
     # which both the class lookup and the rep need

@@ -1,10 +1,24 @@
 import random
+import time
 from fractions import Fraction
 
 from localgraphs.canonical import local_distance, radius_profile
-from localgraphs.graphs import MarkAlphabets, MarkedGraph, build_graph, rooted_component
+from localgraphs.graphs import (
+    DegreeSequence,
+    MarkAlphabets,
+    MarkedGraph,
+    build_graph,
+    rooted_component,
+)
 from localgraphs.lp_distance import levy_prokhorov, max_flow
-from localgraphs.measures import empirical_distribution, measure_from_pairs
+from localgraphs.measures import (
+    empirical_distribution,
+    measure_from_pairs,
+    read_measure,
+    truncate_measure,
+    write_measure,
+)
+from localgraphs.surgery import modify_graph
 from localgraphs.verify import (
     lp_subset_oracle,
     random_bounded_tree,
@@ -12,7 +26,7 @@ from localgraphs.verify import (
     random_sparse_graph,
 )
 
-from oracles import lp_flow_oracle
+from oracles import levy_prokhorov_oracle, lp_flow_oracle
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 
@@ -181,13 +195,21 @@ def random_graph_with_atoms(rng, gen, depth):
 
 
 def test_matches_flow_oracle_on_empirical_measures():
-    # too many atoms for the subset oracle; the flow oracle scans every threshold
+    """Too many atoms for the subset oracle; the flow oracle scans every
+    threshold, and the profile oracle reads every radius of every atom.
+
+    The scan reads each atom where it lives, so the first pair of graphs at
+    each depth also brings: mu itself; a measure read back from a file, which
+    has no sources; and, at depth k, truncations at k of truncations at k + 1
+    and at k - 1, below and above the first truncation's radius, whose
+    sources lie in its reps.  g plus an isolated vertex is disconnected, and
+    its depth-k atoms have their sources in it."""
     rng = random.Random(107)
     clamped = 0
     for depth in (None, 1, 2, 3):
-        for gens in [(random_sparse_graph,) * 2, (random_bounded_tree,) * 2] + [
+        for i, gens in enumerate([(random_sparse_graph,) * 2, (random_bounded_tree,) * 2] + [
             (random_sparse_graph, random_bounded_tree)
-        ] * 2:
+        ] * 2):
             g, h = (random_graph_with_atoms(rng, gen, depth) for gen in gens)
             # g plus an isolated vertex is within d_TV <= 1/(n + 1) of g;
             # remarking vertex 0 moves whole components but few small balls
@@ -198,13 +220,35 @@ def test_matches_flow_oracle_on_empirical_measures():
                 MarkedGraph(g.n, g.edges, flip + g.tau[1:], g.xi, g.alphabets),
             ]
             mu = empirical_distribution(g, depth)
-            for nu in (empirical_distribution(x, depth) for x in [h] + near):
-                assert levy_prokhorov(mu, nu) == lp_flow_oracle(mu, nu)
+            nus = [empirical_distribution(x, depth) for x in [h] + near]
+            if i == 0:
+                nus += [mu, read_measure(write_measure(nus[0]))]
+                assert not nus[-1].sources
+                if depth is not None:
+                    full = empirical_distribution(h)
+                    nus += [truncate_measure(truncate_measure(full, depth + d), depth) for d in (1, -1)]
+            for nu in nus:
+                assert levy_prokhorov(mu, nu) == lp_flow_oracle(mu, nu) == levy_prokhorov_oracle(mu, nu)
                 # atoms of different eccentricity whose depth-r keys still agree,
                 # so the closed form's min(r, len(p) - 1) clamp decides the excess
-                pa = [radius_profile(mu.rep(a), a) for a in mu.support()]
-                pb = [radius_profile(nu.rep(b), b) for b in nu.support()]
+                pa = [radius_profile(mu.rep(a)) for a in mu.support()]
+                pb = [radius_profile(nu.rep(b)) for b in nu.support()]
                 clamped += any(
                     len(p) < len(q) and q[len(p) - 1] == p[-1] for p in pa for q in pb
                 )
     assert clamped
+
+
+def test_full_depth_scan_at_scale():
+    """U(G) of a 400-vertex tree against U(G) of its depth-2 rebuild onto the
+    same degrees: d_LP = 1/9, first reached at radius 7.  The upward scan
+    stops at radius 8 and takes about 1 s; per-atom radius profiles, every
+    radius up to each atom's eccentricity, took 33 s."""
+    g = random_bounded_tree(random.Random(400), 400)
+    rebuilt, _ = modify_graph(g, DegreeSequence(g.degrees()), 2, random.Random(1))
+    mu, nu = empirical_distribution(g), empirical_distribution(rebuilt)
+    start = time.perf_counter()
+    d = levy_prokhorov(mu, nu)
+    took = time.perf_counter() - start
+    assert d == Fraction(1, 9)
+    assert took < 5, f"levy_prokhorov took {took:.1f} s"

@@ -303,7 +303,7 @@ def pushforward_lipschitz_check(
     image: list[tuple[CanonicalClass, ...]] = []
     for mu in corpus:
         for a in mu.support():
-            base.append(radius_profile(mu.rep(a), a))
+            base.append(radius_profile(mu.rep(a)))
             image.append(radius_profile(f(mu.rep(a))))
     for i in range(len(base)):
         for j in range(i + 1, len(base)):
