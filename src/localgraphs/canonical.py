@@ -11,12 +11,15 @@ root of a tree ordered by joining subtree preorders that all roots share; a
 graph with a cycle goes through individualization-refinement with a
 minimal-certificate search.  Refinement sorts integer keys whose order is that
 of the (mark, mark, colour) triples and re-signs only the cells that can
-split, and the search skips any branch that an automorphism found so far maps
-onto an explored one, so it visits about one branch per orbit: a windmill of
-k triangles rooted at its centre costs milliseconds, where the full search
-tree has 2^k k! leaves.  None of this moves a code: every certificate is the
-minimum over the full tree.  The automorphisms found generate the group, so
-they give the orbits of roots and of directed edges (``dart_keys``).
+split.  Each search node holds one ordered partition: a rooted search starts
+from g's kept mark partition, and a child copies its parent's, splits one
+vertex off and re-signs only the cells next to it.  The search skips any
+branch that an automorphism found so far maps onto an explored one, so it
+visits about one branch per orbit: a windmill of k triangles rooted at its
+centre costs milliseconds, where the full search tree has 2^k k! leaves.
+None of this moves a code: every certificate is the minimum over the full
+tree.  The automorphisms found generate the group, so they give the orbits
+of roots and of directed edges (``dart_keys``).
 
 Depth-k codes (``depth_class``, ``depth_classes``) are read off g itself: the
 entry of v seen from its parent p with r levels left depends on (p, v, r)
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .graphs import MarkAlphabets, MarkedGraph, RootedMarkedGraph, ball, build_graph
@@ -194,44 +198,64 @@ NeighbourKeys = list[list[tuple[int, int]]]
 
 def neighbour_keys(g: MarkedGraph) -> NeighbourKeys:
     """For each vertex v, its neighbours u with the sort key of the mark pair
-    (xi(v, u), xi(u, v)): its rank among g's distinct pairs times n + 1.
+    (xi(v, u), xi(u, v)): its rank among g's distinct pairs times 2n + 1.
 
-    A colour is at most n, so key + colour sorts as (xi(v, u), xi(u, v),
-    colour) does, and refinement sorts ints instead of string triples.
-    Computed once per graph object and kept with it, as ``g.adjacency`` is.
+    A colour is below 2n (see ``_ir_certificate``), so key + colour sorts as
+    (xi(v, u), xi(u, v), colour) does, and refinement sorts ints instead of
+    string triples.  Computed once per graph object and kept with it, as
+    ``g.adjacency`` is.
     """
     if "_neighbour_keys" not in vars(g):
         pairs = {(v, u): (x, g.xi[(u, v)]) for (v, u), x in g.xi.items()}
-        rank = {p: i * (g.n + 1) for i, p in enumerate(sorted(set(pairs.values())))}
+        rank = {p: i * (2 * g.n + 1) for i, p in enumerate(sorted(set(pairs.values())))}
         keys = [[(u, rank[pairs[(v, u)]]) for u in a] for v, a in enumerate(g.adjacency)]
         # g is frozen: store the keys the way functools.cached_property does
         object.__setattr__(g, "_neighbour_keys", keys)
     return vars(g)["_neighbour_keys"]
 
 
-def _refine(keys: NeighbourKeys, colors: list[int]) -> tuple[list[int], list[list[int]]]:
-    """Stable colour refinement: the colours, and the cells in colour order,
-    each in ascending vertex order.
+#: An ordered partition of the vertices: ``col[v]`` is v's colour, and
+#: ``cell_at[c]`` is the cell of colour c, () at a colour that no cell holds.
+#: Colours order the cells; cells are never changed in place, only replaced.
+Partition = tuple[list[int], list]
 
-    Each round splits each cell by its members' sorted neighbour keys, parts
-    in key order, and refinement stops after a round that splits nothing.  A
-    cell's colour while refining is the number of vertices before it, so a
-    cell that does not split keeps its colour, and a round re-signs only the
-    cells next to a vertex whose colour the last round changed.
-    """
-    groups: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
+
+def _partition(labels) -> Partition:
+    """The vertices grouped by label, cells in ascending label order and each
+    in ascending vertex order, a cell's colour the number of vertices before
+    it.  ``cell_at`` has room for 2n colours (see ``_ir_certificate``)."""
+    groups: dict = {}
+    for v, c in enumerate(labels):
         groups.setdefault(c, []).append(v)
-    col = [0] * len(colors)
-    cell_at: dict[int, list[int]] = {}  # each cell under its colour
+    col = [0] * len(labels)
+    cell_at: list = [()] * (2 * len(labels))
     start = 0
     for c in sorted(groups):
         cell_at[start] = cell = groups[c]
         for v in cell:
             col[v] = start
         start += len(cell)
-    # every cell of two or more may split in the first round
-    check = [cell for cell in cell_at.values() if len(cell) > 1]
+    return col, cell_at
+
+
+def _mark_partition(g: MarkedGraph) -> Partition:
+    """``_partition(g.tau)``, kept with g as ``neighbour_keys`` is."""
+    if "_mark_partition" not in vars(g):
+        object.__setattr__(g, "_mark_partition", _partition(g.tau))
+    return vars(g)["_mark_partition"]
+
+
+def _refine(keys: NeighbourKeys, col: list[int], cell_at: list, check: list) -> None:
+    """Stable colour refinement of the partition (col, cell_at), in place,
+    whose first round re-signs the cells in ``check``.
+
+    Each round splits each cell by its members' sorted neighbour keys, parts
+    in key order and in the cell's order, and refinement stops after a round
+    that splits nothing.  The first part keeps the cell's colour and part i
+    takes it plus the sizes of the parts before, which stay inside the cell's
+    span of colours, so a round re-signs only the cells next to a vertex whose
+    colour the last round changed.  Splits depend only on the order of colours.
+    """
     while check:
         splits = []
         for cell in check:
@@ -256,17 +280,35 @@ def _refine(keys: NeighbourKeys, colors: list[int]) -> tuple[list[int], list[lis
             moved += [v for part in parts[1:] for v in part]
         touched = {col[u] for v in moved for u, _ in keys[v]}
         check = [cell for c in touched if len(cell := cell_at[c]) > 1]
-    cells = [cell_at[c] for c in sorted(cell_at)]
-    for i, cell in enumerate(cells):
-        for v in cell:
-            col[v] = i
-    return col, cells
 
 
-def _orbits(autos: Iterable, cell: list) -> dict:
+def _split_off(col: list[int], cell_at: list, v: int, top: int) -> None:
+    """Move v out of its cell, whose order is kept, to a cell of its own with
+    colour ``top``, in place."""
+    c = col[v]
+    cell_at[c] = [w for w in cell_at[c] if w != v]
+    col[v] = top
+    cell_at[top] = [v]
+
+
+def _individualize(
+    keys: NeighbourKeys, col: list[int], cell_at: list, v: int, top: int
+) -> Partition:
+    """A copy of the equitable partition (col, cell_at) with v split off to
+    colour ``top``, refined.  Only a cell holding a neighbour of v can split
+    in the first round, so that round re-signs those cells alone."""
+    col, cell_at = col.copy(), cell_at.copy()
+    _split_off(col, cell_at, v, top)
+    near = {col[u] for u, _ in keys[v]}
+    _refine(keys, col, cell_at, [cell for c in near if len(cell := cell_at[c]) > 1])
+    return col, cell_at
+
+
+def _orbits(autos: Iterable, cell: list, orbit: dict | None = None) -> dict:
     """Orbit representative of each vertex (or directed edge) of cell under
-    the group generated by the automorphisms, each mapping cell onto itself."""
-    orbit = {v: v for v in cell}
+    the group generated by the automorphisms, each mapping cell onto itself,
+    and by those whose orbits ``orbit``, an earlier result, already holds."""
+    orbit = {v: v for v in cell} if orbit is None else orbit
 
     def find(v: int) -> int:
         while orbit[v] != v:
@@ -275,7 +317,8 @@ def _orbits(autos: Iterable, cell: list) -> dict:
 
     for gamma in autos:
         for x in cell:
-            orbit[find(x)] = find(gamma[x])
+            if gamma[x] != x:
+                orbit[find(x)] = find(gamma[x])
     return {v: find(v) for v in cell}
 
 
@@ -287,6 +330,18 @@ def _ir_certificate(
     found, as vertex maps, after the ``known`` automorphisms of (g, roots)
     that it starts from.
 
+    The search runs on one ordered partition per node.  The root node copies
+    g's mark partition (``_mark_partition``), moves each root, in order of
+    first occurrence in ``roots``, to a cell of its own above every other
+    cell, and refines every cell.  A child individualizes a vertex v of the
+    first non-singleton cell: it copies the parent's partition, gives v a
+    cell above every colour in use, n + (roots) + depth, and refines from
+    that split alone (``_individualize``).  These colours are below 2n and
+    ordered as a full refinement from (marks, roots, path) would order them,
+    and splits depend only on that order, so every partition is the one a
+    refinement from scratch gives.  A leaf's order is its cells in colour
+    order.
+
     Two leaves with one certificate give an automorphism.  At a node with
     individualized path P, a target vertex in the orbit of one already
     explored, under the automorphisms known or found so far that fix P
@@ -294,44 +349,56 @@ def _ir_certificate(
     minimum certificate cannot move (McKay & Piperno 2014).
     """
     keys = neighbour_keys(g)
-    marks = _root_marks(roots)
-    init_labels = [(marks.get(v, ()), g.tau[v]) for v in range(g.n)]
-    ranking = {s: i for i, s in enumerate(sorted(set(init_labels)))}
+    col, cell_at = (part.copy() for part in _mark_partition(g))
+    top = g.n
+    for r in dict.fromkeys(roots):
+        _split_off(col, cell_at, r, top)
+        top += 1
+    _refine(keys, col, cell_at, [cell for cell in cell_at if len(cell) > 1])
     leaves: dict[str, list[int]] = {}  # first leaf order with each certificate
     autos: list[list[int]] = list(known)
 
-    def search(colors: list[int], path: tuple[int, ...]) -> str:
-        colors, cells = _refine(keys, colors)
-        target = next((cell for cell in cells if len(cell) > 1), None)
+    def search(
+        col: list[int], cell_at: list, path: tuple[int, ...], first: int, fixing: list, seen: int
+    ) -> str:
+        """The least certificate below the node with individualized path P,
+        whose partition is (col, cell_at); ``fixing`` holds the automorphisms
+        among the first ``seen`` that fix P pointwise."""
+        # cells only split, so no non-singleton cell lies below the parent's target
+        target = next((cell for cell in islice(cell_at, first, g.n) if len(cell) > 1), None)
         if target is None:
-            order = [cell[0] for cell in cells]
+            order = [cell[0] for cell in cell_at if cell]
             cert = _certificate(g, roots, order)
-            first = leaves.setdefault(cert, order)
-            if first is not order:
+            found = leaves.setdefault(cert, order)
+            if found is not order:
                 gamma = list(range(g.n))
-                for a, b in zip(first, order):
+                for a, b in zip(found, order):
                     gamma[a] = b
                 autos.append(gamma)
             return cert
+        first = col[target[0]]
         best = None
         explored: list[int] = []
-        known = -1
+        rep = None
         # individualize each vertex of the first non-singleton cell in turn,
         # skipping orbits already explored; automorphisms fixing P keep the cell
         for v in target:
             if explored:
-                if known != len(autos):
-                    known = len(autos)
-                    rep = _orbits((a for a in autos if all(a[p] == p for p in path)), target)
+                if rep is None or seen != len(autos):
+                    # the orbits so far, joined by the automorphisms found since that fix P
+                    fresh = [a for a in autos[seen:] if tuple(map(a.__getitem__, path)) == path]
+                    rep = _orbits(fixing + fresh if rep is None else fresh, target, rep)
+                    fixing, seen = fixing + fresh, len(autos)
                 if any(rep[v] == rep[w] for w in explored):
                     continue
             explored.append(v)
-            cert = search(colors[:v] + [g.n] + colors[v + 1:], path + (v,))
+            child = _individualize(keys, col, cell_at, v, top + len(path))
+            cert = search(*child, path + (v,), first, [a for a in fixing if a[v] == v], seen)
             if best is None or cert < best:
                 best = cert
         return best
 
-    cert = search([ranking[s] for s in init_labels], ())
+    cert = search(col, cell_at, (), 0, list(autos), len(autos))
     return cert, leaves[cert], autos
 
 

@@ -233,12 +233,14 @@ def ball(
             edges.append(e)
             xi[e] = g.xi[(u, w)]
             xi[(b, a)] = g.xi[(w, u)]
-    sub = MarkedGraph(
-        len(verts), frozenset(edges), tuple(g.tau[v] for v in verts), xi, g.alphabets
+    # an induced subgraph of the valid g, so MarkedGraph's checks are skipped;
+    # the search reached every vertex without crossing uv, so sub is connected,
+    # and filling the cached_property's slot spares RootedMarkedGraph a second BFS
+    sub = object.__new__(MarkedGraph)
+    vars(sub).update(
+        n=len(verts), edges=frozenset(edges), tau=tuple(g.tau[v] for v in verts), xi=xi,
+        alphabets=g.alphabets, _connected=True,
     )
-    # the search reached every vertex without crossing uv, so sub is connected;
-    # filling the cached_property's slot spares RootedMarkedGraph a second BFS
-    sub.__dict__["_connected"] = True
     return RootedMarkedGraph(sub, remap[root])
 
 

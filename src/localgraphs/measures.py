@@ -123,7 +123,7 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if depth is not None:
-        counts, reps, sources = _ball_classes(((g, v, 1, None) for v in range(g.n)), depth)
+        counts, reps, sources = _ball_classes((g, v, depth, 1, None) for v in range(g.n))
         return LocalMeasure({cls: Fraction(c, g.n) for cls, c in counts.items()}, reps, sources)
     rooted: dict[int, tuple[MarkedGraph, int, CanonicalClass]] = {}
     counts: dict[CanonicalClass, int] = {}
@@ -141,12 +141,12 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
     return LocalMeasure({cls: Fraction(c, g.n) for cls, c in counts.items()}, reps)
 
 
-def _ball_classes(roots: Iterable[tuple[MarkedGraph, int, int, CanonicalClass | None]], k: int):
+def _ball_classes(roots: Iterable[tuple[MarkedGraph, int, int, int, CanonicalClass | None]]):
     """The summed integer weight, the rep and the source (graph, vertex, k)
-    of each depth-k class of the weighted roots (graph, vertex, weight, class
-    of the rooted graph or None), in order of first root.  Each graph has one
-    entry memo for the call, which writes every tree-shaped ball's class
-    without building the ball; such a class gets no rep here, since
+    of each depth-k class of the weighted roots (graph, vertex, k, weight,
+    class of the rooted graph or None), in order of first root.  Each graph
+    has one entry memo for the call, which writes every tree-shaped ball's
+    class without building the ball; such a class gets no rep here, since
     ``LocalMeasure.rep`` builds it from the source on first read.  Any other
     ball is built once, to be canonicalized (unless it holds the whole rooted
     graph, whose class is given) and to be the rep if its class is new.  A
@@ -158,7 +158,7 @@ def _ball_classes(roots: Iterable[tuple[MarkedGraph, int, int, CanonicalClass | 
     weights: dict[CanonicalClass, int] = {}
     reps: dict[CanonicalClass, RootedMarkedGraph] = {}
     sources: dict[CanonicalClass, tuple[MarkedGraph, int, int]] = {}
-    for g, v, w, whole in roots:
+    for g, v, k, w, whole in roots:
         cls = tree_depth_class(g, -1, v, k, memos.setdefault(id(g), {}))
         built = None
         if cls is None:
@@ -179,16 +179,25 @@ def _ball_classes(roots: Iterable[tuple[MarkedGraph, int, int, CanonicalClass | 
 def truncate_measure(mu: LocalMeasure, k: int) -> LocalMeasure:
     """Pushforward of mu under depth-k truncation, recanonicalized.
 
-    Atoms on one rep graph share its entry memo (see ``canonical.tree_depth_class``),
-    and a ball with a cycle that holds the whole rep graph is the atom itself,
-    so it is not searched again and keeps the atom's rep.  Each new atom's
-    source is (rep graph, root, k) of the first atom of mu it comes from.
-    Weights are summed as integer numerators over the common denominator of
-    mu's weights.
+    An atom with a source (g, v, j) and no rep is read at its source: its
+    depth-k ball is the depth-min(j, k) ball of v in g, so no rep is built.
+    Any other atom is read on its rep graph.  Atoms on one graph share its
+    entry memo (see ``canonical.tree_depth_class``), and a ball with a cycle
+    that holds the whole rep graph is the atom itself, so it is not searched
+    again and keeps the atom's rep.  Each new atom's source is (graph, root,
+    depth) of the first atom of mu it comes from.  Weights are summed as
+    integer numerators over the common denominator of mu's weights.
     """
     den, (num,) = integer_weights(mu.atoms)
-    roots = ((mu.rep(atom).graph, mu.rep(atom).root, w, atom) for atom, w in num.items())
-    weights, reps, sources = _ball_classes(roots, k)
+
+    def root(atom: CanonicalClass, w: int):
+        if atom not in mu.reps and atom in mu.sources:
+            g, v, j = mu.sources[atom]
+            return g, v, min(j, k), w, None
+        rep = mu.rep(atom)
+        return rep.graph, rep.root, k, w, atom
+
+    weights, reps, sources = _ball_classes(root(atom, w) for atom, w in num.items())
     return LocalMeasure({cls: Fraction(w, den) for cls, w in weights.items()}, reps, sources)
 
 

@@ -23,7 +23,7 @@ from localgraphs.measures import (
     truncate_measure,
     write_measure,
 )
-from localgraphs.verify import random_marked
+from localgraphs.verify import random_bounded_tree, random_marked
 
 from oracles import (
     levy_prokhorov_oracle,
@@ -228,3 +228,25 @@ def test_truncation_builds_no_ball_twice(monkeypatch):
     # the families have depth-k balls with a cycle short of the component,
     # which both the class lookup and the rep need
     assert partial_cyclic
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_truncation_reads_sourced_atoms_at_their_source(monkeypatch, k):
+    """A depth-3 U(G) of a tree has sources and no reps, so truncating it,
+    below or past depth 3, reads each atom at its source and builds no ball.
+    It equals the truncation of every rep, built, atoms, order and reps."""
+    g = random_bounded_tree(random.Random(5), 300)
+    mu = empirical_distribution(g, depth=3)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ball(*args, **kwargs)
+
+    monkeypatch.setattr("localgraphs.canonical.ball", counted)
+    monkeypatch.setattr("localgraphs.measures.ball", counted)
+    new = truncate_measure(mu, k)
+    assert calls == []
+    old = truncate_measure_oracle(mu, k)
+    assert list(new.atoms.items()) == list(old.atoms.items())
+    assert [(a, new.rep(a)) for a in new.atoms] == [(a, old.rep(a)) for a in old.atoms]

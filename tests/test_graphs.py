@@ -156,6 +156,31 @@ def test_ball_excluded_edge_on_a_four_cycle():
         ball(g, 1, -1)
 
 
+WIDE = MarkAlphabets(("s1", "tt", "u"), ("ab", "c", "d2"))
+
+
+def test_ball_equals_the_validated_build():
+    """ball skips MarkedGraph's checks; its graph equals the one that the
+    validated constructor builds from an independent BFS of g minus the
+    excluded edge, over alphabets that are not the default."""
+    rng = random.Random(23)
+    for _ in range(30):
+        g = verify.random_marked(rng, rng.randint(1, 25), 0.15, WIDE)
+        root = rng.randrange(g.n)
+        cut = rng.choice(sorted(g.edges) + [None])
+        marks = {e: (g.xi[e], g.xi[e[::-1]]) for e in g.edges if e != cut}
+        rest = build_graph(g.n, marks, g.tau, WIDE)
+        for r in (0, 1, 2, None):
+            got = ball(g, root, r, exclude_edge=cut[::-1] if cut and rng.random() < 0.5 else cut)
+            verts = sorted(bfs_layers_oracle(rest, root, g.n if r is None else r))
+            pos = {v: i for i, v in enumerate(verts)}
+            xi = {(pos[a], pos[b]): x for (a, b), x in rest.xi.items() if a in pos and b in pos}
+            edges = frozenset((a, b) for a, b in xi if a < b)
+            want = MarkedGraph(len(verts), edges, tuple(g.tau[v] for v in verts), xi, WIDE)
+            assert got.graph == want and got.root == pos[root]
+            assert got.graph.is_connected()
+
+
 def test_rooted_graph_rejects_a_disconnected_graph():
     # ball marks its subgraph connected without a search; a graph built by
     # hand is still searched

@@ -12,10 +12,12 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import categorical_edge_match, categorical_node_match
 
+from localgraphs import canonical
 from localgraphs.canonical import (
     _certificate,
     _edge_marks,
     _ir_certificate,
+    _partition,
     _refine,
     canonical_code,
     canonicalize,
@@ -135,9 +137,14 @@ def test_edge_marks_are_computed_once_per_graph():
 
 
 def check_refine(keys, colors):
-    """_refine gives the oracle's colours, and its cells are the colour
-    classes in colour order, each in ascending vertex order."""
-    refined, cells = _refine(keys, colors)
+    """_refine from the partition of the colours gives the oracle's colours,
+    and its cells are the colour classes in colour order, each in ascending
+    vertex order."""
+    col, cell_at = _partition(colors)
+    _refine(keys, col, cell_at, [cell for cell in cell_at if len(cell) > 1])
+    rank = {c: i for i, c in enumerate(sorted(set(col)))}
+    refined = [rank[c] for c in col]
+    cells = [cell for cell in cell_at if cell]
     assert refined == refine_oracle(keys, colors), colors
     assert [sorted(cell) for cell in cells] == cells
     for i, cell in enumerate(cells):
@@ -154,6 +161,34 @@ def test_refine_matches_round_synchronous_oracle(name, g, singles):
     # individualizing v gives it colour n, past every other colour
     for v in range(g.n):
         check_refine(keys, colors[:v] + [g.n] + colors[v + 1:])
+
+
+@pytest.mark.parametrize("name,g,singles", [pytest.param(*c, id=c[0]) for c in CASES + FRUCHT])
+def test_split_local_refinement_matches_oracle_at_every_node(name, g, singles, monkeypatch):
+    """Each child partition of the search, refined from its split alone, is
+    the oracle's refinement of the parent's colours with v moved to n."""
+    individualize = canonical._individualize
+
+    def checked(keys, col, cell_at, v, top):
+        before = (col.copy(), cell_at.copy())
+        child_col, child_cells = individualize(keys, col, cell_at, v, top)
+        assert (col, cell_at) == before
+        rank = {c: i for i, c in enumerate(sorted(set(col)))}
+        parent = [rank[c] for c in col]
+        parent[v] = g.n
+        rank = {c: i for i, c in enumerate(sorted(set(child_col)))}
+        assert [rank[c] for c in child_col] == refine_oracle(keys, parent), (v, parent)
+        # each child cell is ascending and holds exactly the vertices of its colour
+        for c, cell in enumerate(child_cells):
+            assert sorted(cell) == list(cell)
+            assert all(child_col[w] == c for w in cell)
+        assert sorted(w for cell in child_cells for w in cell) == list(range(g.n))
+        return child_col, child_cells
+
+    monkeypatch.setattr(canonical, "_individualize", checked)
+    rng = random.Random(name)
+    for roots in [()] + root_tuples(g, singles, rng):
+        assert _ir_certificate(g, roots)[0] == ir_certificate_oracle(g, roots), roots
 
 
 LONG_MARKS = MarkAlphabets(("s", "tt", "uvw"), ("ab", "c", "xyz"))
