@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graphs import MarkAlphabets, MarkedGraph, RootedMarkedGraph, ball, build_graph
 
@@ -52,18 +52,22 @@ class CanonicalClass:
         return cls(bytes.fromhex(s))
 
 
+def _kept(g: MarkedGraph, name: str, build: Callable[[MarkedGraph], object]):
+    """``build(g)``, computed once per graph object and kept with it under
+    ``name``, as ``g.adjacency`` is; g is frozen, so it is stored the way
+    ``functools.cached_property`` does."""
+    if name not in vars(g):
+        object.__setattr__(g, name, build(g))
+    return vars(g)[name]
+
+
 def _edge_marks(g: MarkedGraph) -> list[tuple[int, int, str, str]]:
     """Each edge (u, v) of g with its marks written for either end first:
-    (u, v, ".xi(u, v).xi(v, u)", ".xi(v, u).xi(u, v)").  Computed once per
-    graph object and kept with it, as ``neighbour_keys`` is."""
-    if "_edge_marks" not in vars(g):
-        xi = g.xi
-        table = [
-            (u, v, f".{xi[(u, v)]}.{xi[(v, u)]}", f".{xi[(v, u)]}.{xi[(u, v)]}")
-            for (u, v) in g.edges
-        ]
-        object.__setattr__(g, "_edge_marks", table)
-    return vars(g)["_edge_marks"]
+    (u, v, ".xi(u, v).xi(v, u)", ".xi(v, u).xi(u, v)"), kept with g."""
+    return _kept(g, "_edge_marks", lambda g: [
+        (u, v, f".{g.xi[(u, v)]}.{g.xi[(v, u)]}", f".{g.xi[(v, u)]}.{g.xi[(u, v)]}")
+        for (u, v) in g.edges
+    ])
 
 
 #: (num, dot) with num[i] = str(i) and dot[i] = f"{i}." for every position
@@ -202,16 +206,15 @@ def neighbour_keys(g: MarkedGraph) -> NeighbourKeys:
 
     A colour is below 2n (see ``_ir_certificate``), so key + colour sorts as
     (xi(v, u), xi(u, v), colour) does, and refinement sorts ints instead of
-    string triples.  Computed once per graph object and kept with it, as
-    ``g.adjacency`` is.
+    string triples.  Kept with g.
     """
-    if "_neighbour_keys" not in vars(g):
+
+    def build(g: MarkedGraph) -> NeighbourKeys:
         pairs = {(v, u): (x, g.xi[(u, v)]) for (v, u), x in g.xi.items()}
         rank = {p: i * (2 * g.n + 1) for i, p in enumerate(sorted(set(pairs.values())))}
-        keys = [[(u, rank[pairs[(v, u)]]) for u in a] for v, a in enumerate(g.adjacency)]
-        # g is frozen: store the keys the way functools.cached_property does
-        object.__setattr__(g, "_neighbour_keys", keys)
-    return vars(g)["_neighbour_keys"]
+        return [[(u, rank[pairs[(v, u)]]) for u in a] for v, a in enumerate(g.adjacency)]
+
+    return _kept(g, "_neighbour_keys", build)
 
 
 #: An ordered partition of the vertices: ``col[v]`` is v's colour, and
@@ -239,10 +242,8 @@ def _partition(labels) -> Partition:
 
 
 def _mark_partition(g: MarkedGraph) -> Partition:
-    """``_partition(g.tau)``, kept with g as ``neighbour_keys`` is."""
-    if "_mark_partition" not in vars(g):
-        object.__setattr__(g, "_mark_partition", _partition(g.tau))
-    return vars(g)["_mark_partition"]
+    """``_partition(g.tau)``, kept with g."""
+    return _kept(g, "_mark_partition", lambda g: _partition(g.tau))
 
 
 def _refine(keys: NeighbourKeys, col: list[int], cell_at: list, check: list) -> None:
@@ -403,10 +404,8 @@ def _ir_certificate(
 
 
 def _unrooted_search(g: MarkedGraph) -> tuple[str, list[int], list]:
-    """``_ir_certificate(g, ())``, kept with g as ``neighbour_keys`` is."""
-    if "_unrooted_search" not in vars(g):
-        object.__setattr__(g, "_unrooted_search", _ir_certificate(g, ()))
-    return vars(g)["_unrooted_search"]
+    """``_ir_certificate(g, ())``, kept with g."""
+    return _kept(g, "_unrooted_search", lambda g: _ir_certificate(g, ()))
 
 
 def dart_keys(g: MarkedGraph) -> dict[tuple[int, int], tuple]:

@@ -82,8 +82,7 @@ def levy_prokhorov(mu: LocalMeasure, nu: LocalMeasure) -> Fraction:
     """Exact d_LP(mu, nu) for finitely supported measures on canonical classes,
     by the upward scan over r of the module docstring.
 
-    Each atom is read where it lives: at its source (g, v, k) in a depth-k
-    measure, or else at its rep's graph and root.  Its depth-r class is
+    Each atom is read at its source (g, v, k): its depth-r class is
     ``depth_class`` of v in g, over one entry memo per graph shared across
     atoms and radii, below the atom's eccentricity and the atom itself from
     there on, where truncation gives it back.  No rep is built.
@@ -95,7 +94,7 @@ def levy_prokhorov(mu: LocalMeasure, nu: LocalMeasure) -> Fraction:
     for m in (mu, nu):
         for a in m.atoms:
             if a not in where:
-                g, v, k = m.sources.get(a) or (m.rep(a).graph, m.rep(a).root, None)
+                g, v, k = m.sources[a]
                 where[a] = (g, v, max(g.bfs_layers(v, k).values()))
     # the caller holds every graph for the whole call, so id(g) names one graph
     memos: dict[int, EntryMemo] = {}

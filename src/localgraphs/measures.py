@@ -3,14 +3,13 @@
 Weights are exact rationals throughout, so mass conservation and measure
 equality are tested with ``==`` rather than tolerances.  Sums of weights run
 on integer numerators over one common denominator (``integer_weights``), and
-each result is divided into a ``Fraction`` once.  A measure keeps a
-representative rooted graph per atom.  A depth-k measure (``truncate_measure``,
-``empirical_distribution(depth=k)``) also remembers where each atom lives: its
-source, a (graph, root, k) whose depth-k ball is the atom.  The rep of a
-tree-shaped class is built from its source on first read (``LocalMeasure.rep``)
-and kept, and ``lp_distance`` reads depth classes from the sources without
-building reps.  A measure read back from a file has neither: its reps are
-reconstructed from the self-describing canonical codes.
+each result is divided into a ``Fraction`` once.  A measure locates each
+atom by one source (graph, root, k): the atom is the depth-k ball of root in
+graph, or root's component when k is None.  ``LocalMeasure.rep`` builds a
+ball from its source on first read and keeps it, and ``truncate_measure`` and
+``lp_distance`` read classes at the sources without building it.  An atom
+given without a source, as in a measure read back from a file, is decoded
+from its self-describing canonical code.
 Unimodularity is balanced on a key per directed edge of a rep graph
 (``canonical.dart_keys``), not on edge-rooted pair classes, so checking U(G)
 runs no search.
@@ -49,13 +48,16 @@ class LocalMeasure:
     """Probability measure with finite support on canonical classes.
 
     Each weight is an ``int`` or a ``Fraction``, positive, and the weights
-    sum to one exactly; the sum is taken over integer numerators.
+    sum to one exactly; the sum is taken over integer numerators.  Each atom's
+    source (graph, root, k) says where it lives (see the module docstring);
+    the atoms given without one are decoded from their codes, all over one
+    alphabet pair so that their mark orders agree.
     """
 
     atoms: dict[CanonicalClass, int | Fraction]
-    reps: dict[CanonicalClass, RootedMarkedGraph] = field(default_factory=dict)
-    #: (graph, root, k) per atom whose depth-k ball of root in graph is the atom
-    sources: dict[CanonicalClass, tuple[MarkedGraph, int, int]] = field(default_factory=dict)
+    sources: dict[CanonicalClass, tuple[MarkedGraph, int, int | None]] = field(default_factory=dict)
+    #: the depth-k balls of the sources read so far
+    _balls: dict[CanonicalClass, RootedMarkedGraph] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for atom, w in self.atoms.items():
@@ -66,6 +68,14 @@ class LocalMeasure:
         den, (num,) = integer_weights(self.atoms)
         if sum(num.values()) != den:
             raise ValueError("weights must sum to one")
+        missing = [a for a in self.atoms if a not in self.sources]
+        if missing:
+            alphabets = code_alphabets(a.code for a in self.atoms)
+            sources = dict(self.sources)
+            for a in missing:
+                rg = decode_rooted(a.code, alphabets)
+                sources[a] = (rg.graph, rg.root, None)
+            object.__setattr__(self, "sources", sources)
 
     def __eq__(self, other):
         if not isinstance(other, LocalMeasure):
@@ -73,25 +83,15 @@ class LocalMeasure:
         return self.atoms == other.atoms
 
     def rep(self, atom: CanonicalClass) -> RootedMarkedGraph:
-        """The representative rooted graph of an atom.
-
-        An atom with a source (g, v, k) and no rep yet, a tree-shaped depth-k
-        class, gets the depth-k ball of v in g, built on this first read and
-        kept, so each such ball is built at most once and only if read.  An
-        atom with neither, as in a measure read back from a file, is rebuilt
-        from its code.
-        """
-        if atom not in self.reps and atom in self.sources:
-            g, v, k = self.sources[atom]
-            self.reps[atom] = ball(g, v, k)
-        elif atom not in self.reps:
-            # codes are self-describing, so the missing representatives can be
-            # rebuilt, all over one alphabet pair so that their mark orders agree
-            alphabets = code_alphabets(a.code for a in self.atoms)
-            missing = (a for a in self.atoms if a not in self.reps)
-            decoded = {a: decode_rooted(a.code, alphabets) for a in missing}
-            object.__setattr__(self, "reps", {**self.reps, **decoded})
-        return self.reps[atom]
+        """The representative rooted graph of an atom: g rooted at v for a
+        source (g, v, None), else the depth-k ball of v in g, built on first
+        read and kept, so each ball is built at most once and only if read."""
+        g, v, k = self.sources[atom]
+        if k is None:
+            return RootedMarkedGraph(g, v)
+        if atom not in self._balls:
+            self._balls[atom] = ball(g, v, k)
+        return self._balls[atom]
 
     def support(self) -> list[CanonicalClass]:
         return sorted(self.atoms)
@@ -100,12 +100,12 @@ class LocalMeasure:
 def measure_from_pairs(pairs: Iterable[tuple[RootedMarkedGraph, Fraction]]) -> LocalMeasure:
     """Build a measure from weighted rooted graphs, canonicalizing atoms."""
     atoms: dict[CanonicalClass, Fraction] = {}
-    reps: dict[CanonicalClass, RootedMarkedGraph] = {}
-    for g, w in pairs:
-        cls = canonicalize(g)
+    sources: dict[CanonicalClass, tuple[MarkedGraph, int, None]] = {}
+    for rg, w in pairs:
+        cls = canonicalize(rg)
         atoms[cls] = atoms.get(cls, Fraction(0)) + w
-        reps.setdefault(cls, g)
-    return LocalMeasure(atoms, reps)
+        sources.setdefault(cls, (rg.graph, rg.root, None))
+    return LocalMeasure(atoms, sources)
 
 
 def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMeasure:
@@ -114,91 +114,84 @@ def empirical_distribution(g: MarkedGraph, depth: int | None = None) -> LocalMea
 
     With a depth, each vertex's ball class is read off once, a tree-shaped
     ball from the directed-entry memo without building the ball: O(n * ball),
-    and no full-depth code is built.  Each atom's source is (g, vertex,
-    depth), in g itself.  At full depth each component is
-    extracted once, and ``rooted_classes`` roots every vertex in that one
-    subgraph, which the representatives share, with the component's
-    unrooted search (for ``check_unimodular``).
+    and no full-depth code is built (see ``_ball_classes`` for the sources).
+    At full depth each component is extracted once, and ``rooted_classes``
+    roots every vertex in that one subgraph, which the atoms' sources
+    (component, index, None) share, with the component's unrooted search
+    (for ``check_unimodular``).
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if depth is not None:
-        counts, reps, sources = _ball_classes((g, v, depth, 1, None) for v in range(g.n))
-        return LocalMeasure({cls: Fraction(c, g.n) for cls, c in counts.items()}, reps, sources)
-    rooted: dict[int, tuple[MarkedGraph, int, CanonicalClass]] = {}
-    counts: dict[CanonicalClass, int] = {}
-    reps: dict[CanonicalClass, RootedMarkedGraph] = {}
-    for v in range(g.n):
-        if v not in rooted:
-            comp = ball(g, v).graph
-            # ball keeps the component's vertices in ascending order
-            for i, (u, cls) in enumerate(zip(sorted(g.component(v)), rooted_classes(comp))):
-                rooted[u] = (comp, i, cls)
-        comp, i, cls = rooted[v]
-        counts[cls] = counts.get(cls, 0) + 1
-        if cls not in reps:
-            reps[cls] = RootedMarkedGraph(comp, i)
-    return LocalMeasure({cls: Fraction(c, g.n) for cls, c in counts.items()}, reps)
+        counts, sources = _ball_classes((g, v, depth, 1, None) for v in range(g.n))
+    else:
+        rooted: dict[int, tuple[CanonicalClass, tuple[MarkedGraph, int, None]]] = {}
+        counts, sources = {}, {}
+        for v in range(g.n):
+            if v not in rooted:
+                comp = ball(g, v).graph
+                # ball keeps the component's vertices in ascending order
+                for i, (u, cls) in enumerate(zip(sorted(g.component(v)), rooted_classes(comp))):
+                    rooted[u] = (cls, (comp, i, None))
+            cls, source = rooted[v]
+            counts[cls] = counts.get(cls, 0) + 1
+            sources.setdefault(cls, source)
+    return LocalMeasure({cls: Fraction(c, g.n) for cls, c in counts.items()}, sources)
 
 
 def _ball_classes(roots: Iterable[tuple[MarkedGraph, int, int, int, CanonicalClass | None]]):
-    """The summed integer weight, the rep and the source (graph, vertex, k)
-    of each depth-k class of the weighted roots (graph, vertex, k, weight,
-    class of the rooted graph or None), in order of first root.  Each graph
-    has one entry memo for the call, which writes every tree-shaped ball's
-    class without building the ball; such a class gets no rep here, since
-    ``LocalMeasure.rep`` builds it from the source on first read.  Any other
-    ball is built once, to be canonicalized (unless it holds the whole rooted
-    graph, whose class is given) and to be the rep if its class is new.  A
-    ball that is the whole rooted graph has that graph as its rep.  So
+    """The summed integer weight and the source of each depth-k class of the
+    weighted roots (graph, vertex, k, weight, class of the connected rooted
+    graph or None), in order of first root.  Each graph has one entry memo
+    for the call, which writes every tree-shaped ball's class without
+    building the ball; its source is (graph, vertex, k).  Any other ball is
+    built once, to be canonicalized, and is its class's source (ball graph,
+    root, None).  A ball that holds the whole rooted graph is not searched:
+    its class is the given one, and its source is (graph, vertex, None).  So
     classes, order and reps read are those of building every ball, and no
     ball is built twice."""
     # the caller holds every graph for the whole call, so id(g) names one graph
     memos: dict[int, EntryMemo] = {}
     weights: dict[CanonicalClass, int] = {}
-    reps: dict[CanonicalClass, RootedMarkedGraph] = {}
-    sources: dict[CanonicalClass, tuple[MarkedGraph, int, int]] = {}
+    sources: dict[CanonicalClass, tuple[MarkedGraph, int, int | None]] = {}
     for g, v, k, w, whole in roots:
         cls = tree_depth_class(g, -1, v, k, memos.setdefault(id(g), {}))
         built = None
         if cls is None:
             built = ball(g, v, k)
             cls = whole if whole is not None and built.n == g.n else canonicalize(built)
-        if cls in sources:
+        if cls in weights:
             weights[cls] += w
             continue
         weights[cls] = w
-        sources[cls] = (g, v, k)
         if cls == whole:
-            reps[cls] = RootedMarkedGraph(g, v)
-        elif built is not None:
-            reps[cls] = built
-    return weights, reps, sources
+            sources[cls] = (g, v, None)
+        elif built is None:
+            sources[cls] = (g, v, k)
+        else:
+            sources[cls] = (built.graph, built.root, None)
+    return weights, sources
 
 
 def truncate_measure(mu: LocalMeasure, k: int) -> LocalMeasure:
     """Pushforward of mu under depth-k truncation, recanonicalized.
 
-    An atom with a source (g, v, j) and no rep is read at its source: its
-    depth-k ball is the depth-min(j, k) ball of v in g, so no rep is built.
-    Any other atom is read on its rep graph.  Atoms on one graph share its
-    entry memo (see ``canonical.tree_depth_class``), and a ball with a cycle
-    that holds the whole rep graph is the atom itself, so it is not searched
-    again and keeps the atom's rep.  Each new atom's source is (graph, root,
-    depth) of the first atom of mu it comes from.  Weights are summed as
-    integer numerators over the common denominator of mu's weights.
+    Each atom is read at its source (g, v, j): its depth-k ball is the
+    depth-min(j, k) ball of v in g, or the depth-k ball when j is None, so no
+    rep is built.  Atoms on one graph share its entry memo (see
+    ``canonical.tree_depth_class``), and a ball with a cycle that holds the
+    whole graph of a component source is the atom itself, so it is not
+    searched again (see ``_ball_classes`` for the new sources).  Weights are
+    summed as integer numerators over the common denominator of mu's weights.
     """
     den, (num,) = integer_weights(mu.atoms)
 
     def root(atom: CanonicalClass, w: int):
-        if atom not in mu.reps and atom in mu.sources:
-            g, v, j = mu.sources[atom]
-            return g, v, min(j, k), w, None
-        rep = mu.rep(atom)
-        return rep.graph, rep.root, k, w, atom
+        g, v, j = mu.sources[atom]
+        return (g, v, k, w, atom) if j is None else (g, v, min(j, k), w, None)
 
-    weights, reps, sources = _ball_classes(root(atom, w) for atom, w in num.items())
-    return LocalMeasure({cls: Fraction(w, den) for cls, w in weights.items()}, reps, sources)
+    weights, sources = _ball_classes(root(atom, w) for atom, w in num.items())
+    return LocalMeasure({cls: Fraction(w, den) for cls, w in weights.items()}, sources)
 
 
 def project_unmarked(mu: LocalMeasure) -> LocalMeasure:
@@ -247,7 +240,8 @@ def check_unimodular(mu: LocalMeasure) -> UnimodularityReport:
     # for the whole call, so id(g) names one graph throughout
     keys: dict[int, dict[tuple[int, int], tuple]] = {}
     for atom, w in num.items():
-        g, o = mu.rep(atom).graph, mu.rep(atom).root
+        rep = mu.rep(atom)
+        g, o = rep.graph, rep.root
         if id(g) not in keys:
             keys[id(g)] = dart_keys(g)
         for v in g.adjacency[o]:

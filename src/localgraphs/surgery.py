@@ -54,6 +54,8 @@ def modify_graph(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    # no simple graph has a non-graphical ell, so no draw could pass the filter
+    ell.require_graphical()
     colored, _ = color_graph(gamma, k)
     D = colored_degree_sequence_of(colored)
     mod = modify_colored_degrees(D, ell)

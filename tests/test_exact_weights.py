@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from localgraphs import canonical
 from localgraphs.canonical import canonicalize, local_distance, radius_profile
 from localgraphs.graphs import MarkAlphabets, ball, rooted_component
 from localgraphs.lp_distance import levy_prokhorov, total_variation
@@ -41,12 +42,12 @@ WIDE = MarkAlphabets(("s1", "tt"), ("ab", "c"))
 
 def mix(parts):
     """The mixture sum_i t_i mu_i of weighted measures (t_i, mu_i)."""
-    atoms, reps = {}, {}
+    atoms, sources = {}, {}
     for t, mu in parts:
         for a, p in mu.atoms.items():
             atoms[a] = atoms.get(a, Fraction(0)) + t * p
-        reps.update(mu.reps)
-    return LocalMeasure(atoms, reps)
+        sources.update(mu.sources)
+    return LocalMeasure(atoms, sources)
 
 
 def mixtures(seed: int, count: int) -> list[LocalMeasure]:
@@ -65,7 +66,7 @@ def perturbed(mu: LocalMeasure, rng: random.Random) -> LocalMeasure:
     heavy = rng.choice(mu.support())
     raw = {a: w * (Fraction(3, 2) if a == heavy else 1) for a, w in mu.atoms.items()}
     total = sum(raw.values())
-    return LocalMeasure({a: w / total for a, w in raw.items()}, mu.reps)
+    return LocalMeasure({a: w / total for a, w in raw.items()}, mu.sources)
 
 
 def test_validation_accepts_exactly_the_fraction_sums_of_one():
@@ -250,3 +251,27 @@ def test_truncation_reads_sourced_atoms_at_their_source(monkeypatch, k):
     old = truncate_measure_oracle(mu, k)
     assert list(new.atoms.items()) == list(old.atoms.items())
     assert [(a, new.rep(a)) for a in new.atoms] == [(a, old.rep(a)) for a in old.atoms]
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_truncating_at_or_past_the_depth_searches_nothing(monkeypatch, j):
+    """Truncating a depth-j U(G) at any k >= j gives it back, atoms, order
+    and reps, and runs no search: a tree-shaped atom is read at its source,
+    and a ball with a cycle holds the whole graph of its atom's source."""
+    measures = [empirical_distribution(g, depth=j) for _, g in families(j)]
+    # the families have depth-j balls with a cycle, whose sources are the balls
+    assert any(k is None for mu in measures for *_, k in mu.sources.values())
+    searches = []
+    search = canonical._ir_certificate
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(canonical, "_ir_certificate", counted)
+    for mu in measures:
+        for k in (j, j + 1, j + 4):
+            new = truncate_measure(mu, k)
+            assert list(new.atoms.items()) == list(mu.atoms.items())
+            assert [new.rep(a) for a in new.atoms] == [mu.rep(a) for a in mu.atoms]
+    assert searches == []

@@ -199,10 +199,11 @@ def test_matches_flow_oracle_on_empirical_measures():
     threshold, and the profile oracle reads every radius of every atom.
 
     The scan reads each atom where it lives, so the first pair of graphs at
-    each depth also brings: mu itself; a measure read back from a file, which
-    has no sources; and, at depth k, truncations at k of truncations at k + 1
-    and at k - 1, below and above the first truncation's radius, whose
-    sources lie in its reps.  g plus an isolated vertex is disconnected, and
+    each depth also brings: mu itself; a measure read back from a file, whose
+    sources are the graphs decoded from its codes; and, at depth k,
+    truncations at k of truncations at k + 1 and at k - 1, below and above
+    the first truncation's radius, some of whose sources are the first
+    truncation's ball graphs.  g plus an isolated vertex is disconnected, and
     its depth-k atoms have their sources in it."""
     rng = random.Random(107)
     clamped = 0
@@ -223,7 +224,7 @@ def test_matches_flow_oracle_on_empirical_measures():
             nus = [empirical_distribution(x, depth) for x in [h] + near]
             if i == 0:
                 nus += [mu, read_measure(write_measure(nus[0]))]
-                assert not nus[-1].sources
+                assert all(k is None for *_, k in nus[-1].sources.values())
                 if depth is not None:
                     full = empirical_distribution(h)
                     nus += [truncate_measure(truncate_measure(full, depth + d), depth) for d in (1, -1)]

@@ -226,12 +226,12 @@ print(report.holds, report.witness.hex(), report.imbalance)
 
 def _mix(parts):
     """The mixture sum_i t_i mu_i of weighted measures (t_i, mu_i)."""
-    atoms, reps = {}, {}
+    atoms, sources = {}, {}
     for t, mu in parts:
         for a, p in mu.atoms.items():
             atoms[a] = atoms.get(a, Fraction(0)) + t * p
-        reps.update(mu.reps)
-    return LocalMeasure(atoms, reps)
+        sources.update(mu.sources)
+    return LocalMeasure(atoms, sources)
 
 
 def test_mixture_of_empiricals_is_unimodular():
@@ -257,7 +257,7 @@ def test_edge_pair_check_matches_all_pairs_oracle():
             heavy = rng.choice(mu.support())
             raw = {a: w * (Fraction(3, 2) if a == heavy else 1) for a, w in mu.atoms.items()}
             total = sum(raw.values())
-            perturbed.append(LocalMeasure({a: w / total for a, w in raw.items()}, mu.reps))
+            perturbed.append(LocalMeasure({a: w / total for a, w in raw.items()}, mu.sources))
     mixtures = [
         _mix([(Fraction(1, 3), empirical[i]), (Fraction(2, 3), empirical[i + 1])])
         for i in range(0, 60, 2)
@@ -387,11 +387,13 @@ def test_read_measure_reps_share_one_alphabet_pair():
     # appearance; the isolated vertex's code uses no edge mark at all
     ab = MarkAlphabets(("s", "t"), ("b", "a"))
     g = build_graph(4, {(0, 1): ("b", "a"), (1, 2): ("b", "b")}, ("t", "s", "s", "s"), ab)
-    back = read_measure(write_measure(empirical_distribution(g)))
-    assert len(back.atoms) == 4
-    assert {back.rep(a).graph.alphabets for a in back.atoms} == {
-        MarkAlphabets(("s", "t"), ("a", "b"))
-    }
+    mu = empirical_distribution(g)
+    # a measure read from a file, and one built by hand without sources
+    for back in (read_measure(write_measure(mu)), LocalMeasure(dict(mu.atoms))):
+        assert len(back.atoms) == 4
+        assert {back.rep(a).graph.alphabets for a in back.atoms} == {
+            MarkAlphabets(("s", "t"), ("a", "b"))
+        }
 
 
 def test_read_measure_rejects_bad_header():

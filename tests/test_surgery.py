@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from localgraphs.errors import NonGraphical
 from localgraphs.graphs import DegreeSequence, MarkAlphabets, build_graph
 from localgraphs.lp_distance import levy_prokhorov
 from localgraphs.measures import empirical_distribution, truncate_measure
@@ -32,6 +33,28 @@ def test_ball_volume_cap_values():
     assert _ball_volume_cap(2, 1) == 3
     assert _ball_volume_cap(3, 1) == 4
     assert _ball_volume_cap(3, 2) == 10  # 1 + 3 + 6
+
+
+class CountingRandom(random.Random):
+    """A generator that counts its draws."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+def test_non_graphical_target_fails_before_any_draw():
+    # no simple graph has degrees 3, 3, 1, 1, so no draw could pass the filter
+    rng = CountingRandom(1)
+    with pytest.raises(NonGraphical, match=r"\(3, 3, 1, 1\) is not graphical"):
+        modify_graph(long_path(4), DegreeSequence((3, 3, 1, 1)), 1, rng)
+    assert rng.draws == 0
 
 
 def test_identity_degrees_leave_every_neighborhood():
