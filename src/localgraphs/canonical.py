@@ -2,9 +2,8 @@
 
 The canonical code of a (possibly multiply) rooted marked graph is a byte
 string that two graphs share iff they are isomorphic by a root-, edge- and
-mark-preserving bijection.  Codes are self-describing: ``decode_code`` rebuilds
-a representative graph, which lets measure files round-trip through codes
-alone.
+mark-preserving bijection.  Codes are self-describing (``decode_codes``), so
+measure files round-trip through codes alone.
 
 Trees are encoded with the classic bottom-up subtree-sorting scheme, every
 root of a tree ordered by joining subtree preorders that all roots share; a
@@ -35,7 +34,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from .graphs import MarkAlphabets, MarkedGraph, RootedMarkedGraph, ball, build_graph
+from .errors import UndecodableCode
+from .graphs import UNMARKED, MarkAlphabets, MarkedGraph, RootedMarkedGraph, ball, build_graph
 
 
 @dataclass(frozen=True, order=True)
@@ -555,7 +555,8 @@ def canonicalize_pair(g: MarkedGraph, o: int, v: int) -> CanonicalClass:
 
 
 def _parse_code(code: bytes):
-    """Vertex count, roots, vertex marks and edge marks written in a code."""
+    """Vertex count, roots, vertex marks and edge marks written in a code;
+    a mark that no alphabet may hold (see ``MarkAlphabets``) is an error."""
     fields = dict(part.split("=", 1) for part in code.decode().split(";"))
     n = int(fields["n"])
     roots = tuple(int(r) for r in fields["r"].split(",") if r != "")
@@ -565,69 +566,55 @@ def _parse_code(code: bytes):
         for item in fields["e"].split("|"):
             u, v, xuv, xvu = item.split(".")
             edge_marks[(int(u), int(v))] = (xuv, xvu)
+    xi = {x for pair in edge_marks.values() for x in pair}
+    MarkAlphabets(tuple(set(tau)) or UNMARKED.theta, tuple(xi) or UNMARKED.xi)
     return n, roots, tau, edge_marks
 
 
-def code_alphabets(codes: Iterable[bytes]) -> MarkAlphabets:
-    """The mark symbols used by the codes, each alphabet in sorted order;
-    the unmarked symbol stands in for an alphabet that no code uses."""
-    parsed = [_parse_code(code) for code in codes]
+def decode_codes(codes: Iterable[bytes]) -> list[RootedMarkedGraph]:
+    """A representative of each code, rooted at its first root, each code
+    parsed and built once, all over one alphabet pair so that mark orders
+    agree: the sorted symbols the codes use, or the unmarked symbol for an
+    alphabet that no code uses.  A code that describes no connected rooted
+    graph raises ``UndecodableCode`` with its position."""
+    parsed = []
+    for i, code in enumerate(codes):
+        try:
+            parsed.append(_parse_code(code))
+        except (ValueError, KeyError, IndexError):
+            raise UndecodableCode(i) from None
     theta = sorted({t for _, _, tau, _ in parsed for t in tau})
-    xi = sorted({x for _, _, _, marks in parsed for pair in marks.values() for x in pair})
-    return MarkAlphabets(tuple(theta) or ("*",), tuple(xi) or ("-",))
-
-
-def decode_code(code: bytes, alphabets: MarkAlphabets | None = None):
-    """Rebuild a representative (MarkedGraph, roots) from a canonical code,
-    over ``code_alphabets([code])`` when no alphabets are given."""
-    n, roots, tau, edge_marks = _parse_code(code)
-    g = build_graph(n, edge_marks, tau, alphabets or code_alphabets([code]))
-    return g, roots
-
-
-def decode_rooted(code: bytes, alphabets: MarkAlphabets | None = None) -> RootedMarkedGraph:
-    g, roots = decode_code(code, alphabets)
-    return RootedMarkedGraph(g, roots[0])
+    xi = sorted({x for *_, marks in parsed for pair in marks.values() for x in pair})
+    alphabets = MarkAlphabets(tuple(theta) or UNMARKED.theta, tuple(xi) or UNMARKED.xi)
+    rooted = []
+    for i, (n, roots, tau, edge_marks) in enumerate(parsed):
+        try:
+            rooted.append(RootedMarkedGraph(build_graph(n, edge_marks, tau, alphabets), roots[0]))
+        except (ValueError, KeyError, IndexError):
+            raise UndecodableCode(i) from None
+    return rooted
 
 
 def is_isomorphic(a: RootedMarkedGraph, b: RootedMarkedGraph) -> bool:
     return canonicalize(a) == canonicalize(b)
 
 
-def radius_profile(g: RootedMarkedGraph) -> tuple[CanonicalClass, ...]:
-    """Classes of the depth-r truncations of g for r = 0 .. eccentricity - 1,
-    followed by the class of g itself.
-
-    Entry r is the class of the depth-r ball of the root, read with
-    ``depth_class`` over one entry memo for the call, so a tree-shaped ball is
-    written without being built; for r past the end it is the last entry,
-    since truncating beyond the eccentricity gives back g.
-    """
-    memo: EntryMemo = {}
-    depths = [depth_class(g.graph, -1, g.root, r, memo) for r in range(g.eccentricity())]
-    return tuple(depths) + (canonicalize(g),)
-
-
-def profile_distance(p: tuple[CanonicalClass, ...], q: tuple[CanonicalClass, ...]) -> Fraction:
-    """1/(1 + j) where j is the first radius at which two radius profiles
-    differ, and 0 when their classes agree.
-
-    Agreement at radius r implies agreement at every smaller radius, so the
-    first disagreement is the radius the local distance is defined by.
-    """
-    if p[-1] == q[-1]:
-        return Fraction(0)
-    j = 0
-    # stops by j = max(len(p), len(q)) - 1, where both read their last entry
-    while p[min(j, len(p) - 1)] == q[min(j, len(q) - 1)]:
-        j += 1
-    return Fraction(1, 1 + j)
-
-
 def local_distance(a: RootedMarkedGraph, b: RootedMarkedGraph) -> Fraction:
-    """1/(1 + j) where j is the first radius at which the truncations differ.
+    """1/(1 + r) for the first radius r at which the truncations of a and b
+    differ, 0 when a and b are isomorphic.  The scan over r = 0, 1, ... stops
+    there, and reads a graph's depth-r class with ``depth_class`` over one
+    entry memo per graph below its eccentricity, and its own class from
+    there on, where truncation gives it back."""
+    whole = canonicalize(a), canonicalize(b)
+    if whole[0] == whole[1]:
+        return Fraction(0)
+    ecc, memos = (a.eccentricity(), b.eccentricity()), ({}, {})
 
-    Returns 0 when the graphs are isomorphic at every radius; disagreement of
-    the radius-0 balls (root marks) gives distance 1.
-    """
-    return profile_distance(radius_profile(a), radius_profile(b))
+    def at(i: int, g: RootedMarkedGraph, r: int) -> CanonicalClass:
+        return whole[i] if r >= ecc[i] else depth_class(g.graph, -1, g.root, r, memos[i])
+
+    r = 0
+    # by r = max(ecc) both read their own classes, which differ
+    while at(0, a, r) == at(1, b, r):
+        r += 1
+    return Fraction(1, 1 + r)

@@ -48,9 +48,9 @@ class ColoredMultigraph:
     def multiplicity(self, c: Color, u: int, v: int) -> int:
         return self.omega.get(c, {}).get((u, v), 0)
 
-    def add(self, c: Color, u: int, v: int, count: int = 1):
+    def add(self, c: Color, u: int, v: int):
         self.omega.setdefault(c, {})
-        self.omega[c][(u, v)] = self.omega[c].get((u, v), 0) + count
+        self.omega[c][(u, v)] = self.omega[c].get((u, v), 0) + 1
 
     def colorblind(self) -> dict[tuple[int, int], int]:
         """Summed multiplicities; symmetric since conjugates pair up."""

@@ -39,3 +39,11 @@ class CapExceeded(LocalGraphsError):
 
 class RangeViolation(LocalGraphsError):
     """A supplied entropy value lies outside its admissible range."""
+
+
+class UndecodableCode(LocalGraphsError, ValueError):
+    """A code that describes no connected rooted graph, at position ``index``."""
+
+    def __init__(self, index: int):
+        super().__init__(f"code {index} does not decode to a rooted graph")
+        self.index = index

@@ -8,8 +8,8 @@ atom by one source (graph, root, k): the atom is the depth-k ball of root in
 graph, or root's component when k is None.  ``LocalMeasure.rep`` builds a
 ball from its source on first read and keeps it, and ``truncate_measure`` and
 ``lp_distance`` read classes at the sources without building it.  An atom
-given without a source, as in a measure read back from a file, is decoded
-from its self-describing canonical code.
+given without a source is decoded from its self-describing canonical code,
+as ``read_measure`` decodes a file's atoms, once, to be their sources.
 Unimodularity is balanced on a key per directed edge of a rep graph
 (``canonical.dart_keys``), not on edge-rooted pair classes, so checking U(G)
 runs no search.
@@ -27,12 +27,12 @@ from .canonical import (
     EntryMemo,
     canonicalize,
     canonicalize_pair,
-    code_alphabets,
     dart_keys,
-    decode_rooted,
+    decode_codes,
     rooted_classes,
     tree_depth_class,
 )
+from .errors import UndecodableCode
 from .graphs import MarkedGraph, RootedMarkedGraph, ball
 
 
@@ -50,8 +50,8 @@ class LocalMeasure:
     Each weight is an ``int`` or a ``Fraction``, positive, and the weights
     sum to one exactly; the sum is taken over integer numerators.  Each atom's
     source (graph, root, k) says where it lives (see the module docstring);
-    the atoms given without one are decoded from their codes, all over one
-    alphabet pair so that their mark orders agree.
+    the atoms given without one are decoded from their codes together, by
+    ``decode_codes``, so that their mark orders agree.
     """
 
     atoms: dict[CanonicalClass, int | Fraction]
@@ -70,12 +70,9 @@ class LocalMeasure:
             raise ValueError("weights must sum to one")
         missing = [a for a in self.atoms if a not in self.sources]
         if missing:
-            alphabets = code_alphabets(a.code for a in self.atoms)
-            sources = dict(self.sources)
-            for a in missing:
-                rg = decode_rooted(a.code, alphabets)
-                sources[a] = (rg.graph, rg.root, None)
-            object.__setattr__(self, "sources", sources)
+            decoded = decode_codes([a.code for a in missing])
+            sources = {a: (rg.graph, rg.root, None) for a, rg in zip(missing, decoded)}
+            object.__setattr__(self, "sources", {**self.sources, **sources})
 
     def __eq__(self, other):
         if not isinstance(other, LocalMeasure):
@@ -294,13 +291,17 @@ def read_measure(text: str) -> LocalMeasure:
             raise ValueError(f"weight is not <int>/<positive int>: {ln!r}")
         try:
             atom = CanonicalClass.from_hex(parts[2])
-            decode_rooted(atom.code)
-        except (ValueError, KeyError, IndexError):
+        except ValueError:
             raise ValueError(f"code is not a canonical code in hex: {ln!r}") from None
         if atom in atoms:
             raise ValueError(f"code given twice: {ln!r}")
         num, den = parts[1].split("/")
         atoms[atom] = Fraction(int(num), int(den))
+    try:
+        decoded = decode_codes([a.code for a in atoms])
+    except UndecodableCode as exc:
+        # every line after the header is an atom's, in order
+        raise ValueError(f"code is not a canonical code in hex: {lines[1 + exc.index]!r}") from None
     if len(atoms) != int(header[1]):
         raise ValueError("atom count mismatch")
-    return LocalMeasure(atoms)
+    return LocalMeasure(atoms, {a: (rg.graph, rg.root, None) for a, rg in zip(atoms, decoded)})

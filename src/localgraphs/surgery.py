@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .canonical import depth_classes
 from .colored import color_graph, colored_degree_sequence_of, mcb, sample_filtered_cm
+from .errors import InvalidSequence
 from .graphs import DegreeSequence, MarkedGraph
 from .transport import modify_colored_degrees
 
@@ -54,6 +55,8 @@ def modify_graph(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if ell.n != gamma.n:
+        raise InvalidSequence(f"vertex count mismatch: {ell.n} degrees for {gamma.n} vertices")
     # no simple graph has a non-graphical ell, so no draw could pass the filter
     ell.require_graphical()
     colored, _ = color_graph(gamma, k)

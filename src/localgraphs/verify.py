@@ -256,8 +256,8 @@ def random_marked(
     return build_graph(n, marks, tau, alphabets)
 
 
-def random_rooted(rng: random.Random, max_n: int = 5) -> RootedMarkedGraph:
-    n = rng.randint(1, max_n)
+def random_rooted(rng: random.Random) -> RootedMarkedGraph:
+    n = rng.randint(1, 5)
     return rooted_component(random_marked(rng, n, 0.5, AB2), rng.randrange(n))
 
 

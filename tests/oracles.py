@@ -240,7 +240,6 @@ def lp_flow_oracle(mu, nu) -> Fraction:
     the excess is constant on each interval [v, next v), where the feasible
     infimum is max(v, excess), and threshold 1 admits every pair.
     """
-    from localgraphs.canonical import profile_distance
     from localgraphs.lp_distance import max_flow
 
     mu_atoms, nu_atoms = mu.support(), nu.support()
@@ -456,6 +455,19 @@ def radius_profile_oracle(g: RootedMarkedGraph, cls=None) -> tuple:
 
     full = canonicalize(g) if cls is None else cls
     return tuple(canonicalize(truncate(g, r)) for r in range(g.eccentricity())) + (full,)
+
+
+def profile_distance(p: tuple, q: tuple) -> Fraction:
+    """1/(1 + j) where j is the first radius at which two radius profiles
+    differ, and 0 when their classes agree; a profile reads its last entry
+    past its end, since truncating beyond the eccentricity gives g back."""
+    if p[-1] == q[-1]:
+        return Fraction(0)
+    j = 0
+    # stops by j = max(len(p), len(q)) - 1, where both read their last entry
+    while p[min(j, len(p) - 1)] == q[min(j, len(q) - 1)]:
+        j += 1
+    return Fraction(1, 1 + j)
 
 
 def truncate_measure_oracle(mu, k: int):

@@ -16,10 +16,7 @@ import localgraphs
 #: module.function.parameter for each default of a function whose name does
 #: not start with an underscore, nested functions and methods included.
 OPTIONS = {
-    "canonical.decode_code.alphabets",
-    "canonical.decode_rooted.alphabets",
     "cli.main.argv",
-    "colored.add.count",
     "enumeration.enumerate_graphs.cap",
     "enumeration.enumerate_marked.cap",
     "graphs.build_graph.tau",
@@ -33,7 +30,6 @@ OPTIONS = {
     "measures.empirical_distribution.depth",
     "samplers.sample_uniform_graph.max_attempts",
     "surgery.modify_graph.max_attempts",
-    "verify.random_rooted.max_n",
     "verify.run_suites.numbers",
 }
 

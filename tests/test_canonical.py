@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localgraphs import canonical
 from localgraphs.canonical import (
     canonicalize,
     canonicalize_pair,
-    decode_rooted,
+    decode_codes,
+    depth_class,
     is_isomorphic,
     local_distance,
     rooted_classes,
 )
+from localgraphs.errors import UndecodableCode
 from localgraphs.graphs import (
     MarkAlphabets,
     RootedMarkedGraph,
@@ -21,6 +24,8 @@ from localgraphs.graphs import (
     rooted_component,
     truncate,
 )
+from localgraphs.lp_distance import levy_prokhorov
+from localgraphs.measures import measure_from_pairs
 from localgraphs.verify import random_marked
 
 from oracles import isomorphic_oracle, local_distance_oracle, partition_by_isomorphism
@@ -105,12 +110,27 @@ def test_code_invariant_under_relabeling(seed):
 
 def test_decode_round_trip():
     rng = random.Random(3)
-    for _ in range(30):
-        r = random_rooted(rng)
-        cls = canonicalize(r)
-        back = decode_rooted(cls.code)
-        assert is_isomorphic(r, back)
-        assert canonicalize(back) == cls
+    corpus = [random_rooted(rng) for _ in range(30)]
+    codes = [canonicalize(r).code for r in corpus]
+    together = decode_codes(codes)
+    assert len({back.graph.alphabets for back in together}) == 1
+    # each code alone, over its own symbols, and all together, over one pair
+    for r, code, joint in zip(corpus, codes, together):
+        for back in (decode_codes([code])[0], joint):
+            assert is_isomorphic(r, back)
+            assert canonicalize(back).code == code
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [b"", b"n=2;r=0;t=s;e=", b"n=1;r=;t=s;e=", b"n=1;r=0;t=s s;e=", b"n=2;r=0;t=s,s;e=0.1.a=b.a"],
+    ids=["empty", "short-tau", "no-root", "space", "separator"],
+)
+def test_undecodable_code_names_its_position(bad):
+    good = canonicalize(random_rooted(random.Random(5))).code
+    with pytest.raises(UndecodableCode) as caught:
+        decode_codes([good, good, bad, good])
+    assert caught.value.index == 2
 
 
 def test_pair_codes_track_ordered_roots():
@@ -169,7 +189,7 @@ def with_pendant(r: RootedMarkedGraph, rng) -> RootedMarkedGraph:
     return RootedMarkedGraph(build_graph(g.n + 1, marks, tau, g.alphabets), r.root)
 
 
-def test_local_distance_matches_ball_oracle():
+def oracle_pairs():
     rng = random.Random(29)
     pairs = []
     for i in range(50):
@@ -179,6 +199,22 @@ def test_local_distance_matches_ball_oracle():
         pairs.append((a, permuted_copy(a, rng)))
         pairs.append((a, with_pendant(a, rng)))
         pairs.append((with_pendant(a, rng), with_pendant(permuted_copy(a, rng), rng)))
+    return pairs
+
+
+def metric_corpus():
+    rng = random.Random(11)
+    return [random_rooted(rng, max_n=5) for _ in range(12)]
+
+
+def ultrametric_corpus():
+    rng = random.Random(17)
+    corpus = [random_rooted(rng, max_n=7, p=0.5, ab=AB1) for _ in range(14)]
+    return corpus + [deep_rooted(rng) for _ in range(14)]
+
+
+def test_local_distance_matches_ball_oracle():
+    pairs = oracle_pairs()
     seen = set()
     for a, b in pairs:
         d = local_distance_oracle(a, b)
@@ -192,8 +228,7 @@ def test_local_distance_matches_ball_oracle():
 
 
 def test_local_distance_is_a_metric_on_classes():
-    rng = random.Random(11)
-    corpus = [random_rooted(rng, max_n=5) for _ in range(12)]
+    corpus = metric_corpus()
     d = [[local_distance(a, b) for b in corpus] for a in corpus]
     for i in range(len(corpus)):
         assert d[i][i] == 0
@@ -206,9 +241,7 @@ def test_local_distance_is_a_metric_on_classes():
 
 def test_local_distance_is_an_ultrametric():
     # d(a, c) <= max(d(a, b), d(b, c)); the closed form of d_LP relies on it
-    rng = random.Random(17)
-    corpus = [random_rooted(rng, max_n=7, p=0.5, ab=AB1) for _ in range(14)]
-    corpus += [deep_rooted(rng) for _ in range(14)]
+    corpus = ultrametric_corpus()
     assert any(len(r.graph.edges) >= r.n for r in corpus)  # some are cyclic
     d = [[local_distance(a, b) for b in corpus] for a in corpus]
     close = 0
@@ -216,6 +249,38 @@ def test_local_distance_is_an_ultrametric():
         assert d[i][k] <= max(d[i][j], d[j][k])
         close += 0 < d[i][k] <= max(d[i][j], d[j][k]) <= Fraction(1, 3)
     assert close  # a, b and b, c agree to radius 1, and a, c differ somewhere
+
+
+def test_local_distance_is_the_lp_distance_of_point_masses():
+    # d_LP(delta_a, delta_b) = 1/(2 + r) for the last radius r at which a and b agree
+    pairs = oracle_pairs()
+    for corpus in (metric_corpus(), ultrametric_corpus()):
+        pairs += list(product(corpus, repeat=2))
+    for a, b in pairs:
+        mu, nu = (measure_from_pairs([(x, Fraction(1))]) for x in (a, b))
+        assert local_distance(a, b) == levy_prokhorov(mu, nu)
+
+
+def test_local_distance_stops_at_the_first_disagreement(monkeypatch):
+    """The scan reads no class past the first radius at which the two
+    rooted graphs differ: none past 0 when the root marks differ."""
+    radii = []
+
+    def counted(g, parent, root, r, memo):
+        radii.append(r)
+        return depth_class(g, parent, root, r, memo)
+
+    monkeypatch.setattr(canonical, "depth_class", counted)
+
+    def path(t: int) -> RootedMarkedGraph:
+        """A path of 6 vertices rooted at an end, mark t at vertex t alone."""
+        tau = tuple("t" if v == t else "s" for v in range(6))
+        return RootedMarkedGraph(build_graph(6, {(i, i + 1): ("a", "a") for i in range(5)}, tau, AB), 0)
+
+    for t, d in ((0, Fraction(1)), (2, Fraction(1, 3))):
+        radii.clear()
+        assert local_distance(path(-1), path(t)) == d
+        assert radii and max(radii) == d.denominator - 1
 
 
 def test_truncation_is_one_lipschitz():

@@ -58,7 +58,7 @@ def test_multigraph_validate_catches_unpaired_edges():
 
 def test_multigraph_validate_catches_odd_loop():
     g = ColoredMultigraph(1, CS2)
-    g.add((0, 0), 0, 0, 1)
+    g.add((0, 0), 0, 0)
     with pytest.raises(InvalidSequence):
         colored_axioms_oracle(g)
 
@@ -130,7 +130,8 @@ def test_sample_cm_preserves_colored_degrees():
             u, v = rng.randrange(n), rng.randrange(n)
             c = rng.choice([(0, 0), (0, 1), (1, 0), (1, 1)])
             if u == v and c == ColorSet.conjugate(c):
-                base.add(c, u, u, 2)
+                base.add(c, u, u)
+                base.add(c, u, u)
             elif u != v:
                 base.add(c, u, v)
                 base.add(ColorSet.conjugate(c), v, u)
@@ -154,11 +155,13 @@ def test_girth_filter_triangle():
 def test_girth_filter_rejects_multi_edges_and_loops():
     cs = ColorSet((("a", b""),))
     g = ColoredMultigraph(2, cs)
-    g.add((0, 0), 0, 1, 2)
-    g.add((0, 0), 1, 0, 2)
+    for _ in range(2):
+        g.add((0, 0), 0, 1)
+        g.add((0, 0), 1, 0)
     assert not is_colored_graph(g, 1)
     loop = ColoredMultigraph(1, cs)
-    loop.add((0, 0), 0, 0, 2)
+    loop.add((0, 0), 0, 0)
+    loop.add((0, 0), 0, 0)
     assert not is_colored_graph(loop, 1)
 
 

@@ -1,20 +1,21 @@
-"""The measure layer's exact arithmetic and memo-read radius profiles.
+"""The measure layer's exact arithmetic and memo-read radius classes.
 
 ``LocalMeasure``'s validation, ``truncate_measure``, ``total_variation``,
 ``levy_prokhorov`` and ``check_unimodular`` sum integer numerators over one
-common denominator, and ``radius_profile`` reads each depth-r class from the
+common denominator, and ``local_distance`` reads each depth-r class from the
 directed-entry memo.  Each must give exactly what the ``Fraction`` sums and
-the per-truncation profiles in ``oracles`` give, on weights whose
+the per-truncation oracles in ``oracles`` give, on weights whose
 denominators are coprime: mixtures of U(G)s with n = 7, 9 and 10.
 """
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from localgraphs import canonical
-from localgraphs.canonical import canonicalize, local_distance, radius_profile
-from localgraphs.graphs import MarkAlphabets, ball, rooted_component
+from localgraphs.canonical import canonicalize, local_distance
+from localgraphs.graphs import MarkAlphabets, ball, rooted_component, truncate
 from localgraphs.lp_distance import levy_prokhorov, total_variation
 from localgraphs.measures import (
     LocalMeasure,
@@ -28,7 +29,7 @@ from localgraphs.verify import random_bounded_tree, random_marked
 
 from oracles import (
     levy_prokhorov_oracle,
-    radius_profile_oracle,
+    local_distance_oracle,
     total_variation_oracle,
     truncate_measure_oracle,
     unimodular_edge_pairs_oracle,
@@ -159,13 +160,21 @@ CASES = [(k, name, g) for k in (1, 2, 3) for name, g in families(k)]
 
 @pytest.mark.parametrize("k,name,g", CASES, ids=[f"k{k}-{name}" for k, name, _ in CASES])
 def test_radius_profiles_match_the_per_truncation_path(k, name, g):
-    for v in range(g.n):
-        rg = rooted_component(g, v)
-        assert radius_profile(rg) == radius_profile_oracle(rg)
+    """``local_distance``, which reads each depth-r class from the entry memo,
+    gives ``local_distance_oracle``'s value on every pair of g's rooted
+    components, and on each against each of its truncations below its
+    eccentricity.  Such a pair agrees up to the truncation radius r, so the
+    scan compares the memo-read depth-r class with the built truncation's
+    class at every r, as the per-truncation radius profile does."""
+    rooted = [rooted_component(g, v) for v in range(g.n)]
+    pairs = list(combinations(rooted, 2))
+    pairs += [(rg, truncate(rg, r)) for rg in rooted for r in range(rg.eccentricity())]
+    for a, b in pairs:
+        assert local_distance(a, b) == local_distance_oracle(a, b)
 
 
 def test_distances_add_nothing_to_the_rep_graphs():
-    """The entry memos of ``levy_prokhorov`` and ``radius_profile`` live for
+    """The entry memos of ``levy_prokhorov`` and ``local_distance`` live for
     one call only.  What a graph keeps of its own (its adjacency, and the
     refinement keys and edge table of a cyclic graph's class) is filled in
     before the snapshot."""

@@ -2,7 +2,7 @@ import random
 import time
 from fractions import Fraction
 
-from localgraphs.canonical import local_distance, radius_profile
+from localgraphs.canonical import local_distance
 from localgraphs.graphs import (
     DegreeSequence,
     MarkAlphabets,
@@ -26,7 +26,7 @@ from localgraphs.verify import (
     random_sparse_graph,
 )
 
-from oracles import levy_prokhorov_oracle, lp_flow_oracle
+from oracles import levy_prokhorov_oracle, lp_flow_oracle, radius_profile_oracle
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 
@@ -232,8 +232,8 @@ def test_matches_flow_oracle_on_empirical_measures():
                 assert levy_prokhorov(mu, nu) == lp_flow_oracle(mu, nu) == levy_prokhorov_oracle(mu, nu)
                 # atoms of different eccentricity whose depth-r keys still agree,
                 # so the closed form's min(r, len(p) - 1) clamp decides the excess
-                pa = [radius_profile(mu.rep(a)) for a in mu.support()]
-                pb = [radius_profile(nu.rep(b)) for b in nu.support()]
+                pa = [radius_profile_oracle(mu.rep(a), a) for a in mu.support()]
+                pb = [radius_profile_oracle(nu.rep(b), b) for b in nu.support()]
                 clamped += any(
                     len(p) < len(q) and q[len(p) - 1] == p[-1] for p in pa for q in pb
                 )

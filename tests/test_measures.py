@@ -8,13 +8,7 @@ from typing import Callable
 
 import pytest
 
-from localgraphs.canonical import (
-    CanonicalClass,
-    canonicalize,
-    profile_distance,
-    radius_profile,
-    rooted_classes,
-)
+from localgraphs.canonical import canonicalize, local_distance, rooted_classes
 from localgraphs.graphs import (
     MarkAlphabets,
     RootedMarkedGraph,
@@ -35,7 +29,7 @@ from localgraphs.measures import (
     truncate_measure,
     write_measure,
 )
-from localgraphs import verify
+from localgraphs import canonical, verify
 from localgraphs.verify import random_bounded_tree, random_sparse_graph
 
 from oracles import partition_by_isomorphism, unimodular_all_pairs_oracle
@@ -298,17 +292,13 @@ def pushforward_lipschitz_check(
     First verifies that f itself is alpha-Lipschitz on the corpus atoms; a
     violating measure pair signals an implementation bug, not a math failure.
     """
-    # one radius profile per corpus atom and one per its image under f
-    base: list[tuple[CanonicalClass, ...]] = []
-    image: list[tuple[CanonicalClass, ...]] = []
-    for mu in corpus:
-        for a in mu.support():
-            base.append(radius_profile(mu.rep(a)))
-            image.append(radius_profile(f(mu.rep(a))))
+    # each corpus atom and its image under f
+    base = [mu.rep(a) for mu in corpus for a in mu.support()]
+    image = [f(rg) for rg in base]
     for i in range(len(base)):
         for j in range(i + 1, len(base)):
-            da = profile_distance(base[i], base[j])
-            db = profile_distance(image[i], image[j])
+            da = local_distance(base[i], base[j])
+            db = local_distance(image[i], image[j])
             if db > alpha * da:
                 raise ValueError(
                     f"f is not {alpha}-Lipschitz on the corpus atoms "
@@ -394,6 +384,29 @@ def test_read_measure_reps_share_one_alphabet_pair():
         assert {back.rep(a).graph.alphabets for a in back.atoms} == {
             MarkAlphabets(("s", "t"), ("a", "b"))
         }
+
+
+def test_read_measure_decodes_each_code_once(monkeypatch):
+    """Reading U(G) back parses and builds each atom's code once: the
+    decoded graphs are the atoms' sources, so ``LocalMeasure`` decodes
+    nothing again."""
+    mu = empirical_distribution(random_sparse_graph(random.Random(3), 300))
+    text = write_measure(mu)
+    calls = {"_parse_code": 0, "build_graph": 0}
+    for name in calls:
+        real = getattr(canonical, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(canonical, name, counted)
+    back = read_measure(text)
+    assert len(back.atoms) == 222
+    assert calls == {"_parse_code": 222, "build_graph": 222}
+    assert list(back.atoms.items()) == sorted(mu.atoms.items())
+    assert all(canonicalize(back.rep(a)) == a for a in back.atoms)
+    assert len({back.rep(a).graph.alphabets for a in back.atoms}) == 1
 
 
 def test_read_measure_rejects_bad_header():

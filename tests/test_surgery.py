@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from localgraphs.errors import NonGraphical
+from localgraphs.errors import InvalidSequence, NonGraphical
 from localgraphs.graphs import DegreeSequence, MarkAlphabets, build_graph
 from localgraphs.lp_distance import levy_prokhorov
 from localgraphs.measures import empirical_distribution, truncate_measure
@@ -54,6 +54,15 @@ def test_non_graphical_target_fails_before_any_draw():
     rng = CountingRandom(1)
     with pytest.raises(NonGraphical, match=r"\(3, 3, 1, 1\) is not graphical"):
         modify_graph(long_path(4), DegreeSequence((3, 3, 1, 1)), 1, rng)
+    assert rng.draws == 0
+
+
+@pytest.mark.parametrize("n,degrees", [(2, (2,)), (4, (1, 1))], ids=["non-graphical", "graphical"])
+def test_wrong_vertex_count_fails_before_any_draw(n, degrees):
+    # the count is checked before graphicality, and before any colouring
+    rng = CountingRandom(1)
+    with pytest.raises(InvalidSequence, match=f"{len(degrees)} degrees for {n} vertices"):
+        modify_graph(long_path(n), DegreeSequence(degrees), 1, rng)
     assert rng.draws == 0
 
 
