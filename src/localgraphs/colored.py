@@ -117,49 +117,62 @@ def colored_degree_sequence_of(g: ColoredMultigraph) -> ColoredDegreeSequence:
     return ColoredDegreeSequence.from_maps(g.colors, maps)
 
 
-# --- one pairing, two filters: a pairing holds (c, us, vs) per diagonal color
-# and per conjugate pair c < conj(c); half-edge us[i] of color c meets vs[i].
+# --- one lazy pairing: a pairing holds (c, us, vs) per diagonal color and per
+# conjugate pair c < conj(c); half-edge us[i] of color c meets vs[i].
 
 Pairing = list[tuple[Color, list[int], list[int]]]
 
 
-def _shuffle(x: list, rng: random.Random) -> None:
-    """rng.shuffle(x), with Random._randbelow inlined: the same getrandbits(k)
-    calls in the same order, so the same permutation and the same final state.
-    Positions i whose bound i + 1 has one bit length k form a run, inside
-    which k stays fixed.  A generator that draws integers another way
-    (a subclass overriding random() or shuffle) uses its own shuffle."""
-    cls = type(rng)
-    if (cls._randbelow is not random.Random._randbelow_with_getrandbits
-            or cls.shuffle is not random.Random.shuffle):
-        rng.shuffle(x)
-        return
-    getrandbits = rng.getrandbits
-    top = len(x) - 1
-    while top > 0:
-        k = (top + 1).bit_length()
-        low = (1 << (k - 1)) - 1  # the smallest i with (i + 1).bit_length() == k
-        for i in range(top, low - 1, -1):
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            x[i], x[j] = x[j], x[i]
-        top = low - 1
+def _draw(
+    half_edges: dict[Color, list[int]], rng: random.Random, edges: set[tuple[int, int]] | None
+) -> Pairing | None:
+    """One draw of CM(D), walking half_edges in its sorted color order.  Per
+    diagonal color, the last unpaired half-edge of a fresh copy of W_c meets a
+    uniform earlier one, which moves next to it.  Per conjugate pair
+    c < conj(c), Fisher–Yates runs from the top of a fresh copy of W_conj(c),
+    and W_c[i] meets the element fixed at position i as soon as it is final.
 
-
-def _draw(half_edges: dict[Color, list[int]], rng: random.Random) -> Pairing:
-    """Walking half_edges in its sorted color order, shuffle a fresh copy of W_c
-    per diagonal color (paired consecutively) and of W_conj(c) per pair c < conj(c)."""
+    An index below m is getrandbits(m.bit_length()), redrawn while >= m: the
+    calls Random._randbelow makes.  A generator whose class draws integers
+    another way is asked for rng._randbelow(m).  Given ``edges``, each pair is
+    checked as it is made: the draw returns None at its first loop or repeated
+    pair, and otherwise adds its edges (u, v), u < v, to ``edges``.
+    """
+    inline = type(rng)._randbelow is random.Random._randbelow_with_getrandbits
+    getrandbits, randbelow = rng.getrandbits, rng._randbelow
     pairing = []
     for c, w in half_edges.items():
         if c[0] == c[1]:
-            w = w[:]
-            _shuffle(w, rng)
-            pairing.append((c, w[0::2], w[1::2]))
+            a = b = w[:]
+            gap = 1  # slot s meets position s + 1; two positions per pair
         elif c[0] < c[1]:
-            wb = half_edges[(c[1], c[0])][:]
-            _shuffle(wb, rng)
-            pairing.append((c, w, wb))
+            a, b = w, half_edges[(c[1], c[0])][:]
+            gap = 0
+        else:
+            continue
+        k = len(b).bit_length()
+        low = 1 << k >> 1  # the least bound of bit length k
+        for s in range(len(b) - 1 - gap, -1, -1 - gap):
+            if s:
+                # slot s takes b[j] for a uniform j <= s
+                m = s + 1
+                if m < low:
+                    k -= 1
+                    low >>= 1
+                if inline:
+                    j = getrandbits(k)
+                    while j >= m:
+                        j = getrandbits(k)
+                else:
+                    j = randbelow(m)
+                b[s], b[j] = b[j], b[s]
+            if edges is not None:
+                u, v = a[s + gap], b[s]
+                e = (u, v) if u < v else (v, u)
+                if u == v or e in edges:
+                    return None
+                edges.add(e)
+        pairing.append((c, a[1::2], b[0::2]) if gap else (c, a, b))
     return pairing
 
 
@@ -175,7 +188,7 @@ def _multigraph(D: ColoredDegreeSequence, pairing: Pairing) -> ColoredMultigraph
 def sample_cm(D: ColoredDegreeSequence, rng: random.Random) -> ColoredMultigraph:
     """One draw of the colored configuration model CM(D): per conjugate pair a
     uniform bijection of the half-edge sets, per diagonal color a uniform perfect matching."""
-    return _multigraph(D, _draw(D.half_edges(), rng))
+    return _multigraph(D, _draw(D.half_edges(), rng, None))
 
 
 def _girth_at_most(adj: list[set[int]], h: int) -> bool:
@@ -213,49 +226,40 @@ def _girth_at_most(adj: list[set[int]], h: int) -> bool:
     return False
 
 
-def _filtered_edges(pairing: Pairing, n: int, h: int) -> set[tuple[int, int]] | None:
-    """Edges (u, v), u < v, of the pairing's color-blind multigraph if it is
-    simple with girth > h, else None.  A draw is rejected at its first loop or
-    repeated pair; the girth search runs only on simple draws."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    edges = set()
-    for _, us, vs in pairing:
-        for u, v in zip(us, vs):
-            e = (u, v) if u < v else (v, u)
-            if u == v or e in edges:
-                return None
-            edges.add(e)
-    if h >= 3:
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        if _girth_at_most(adj, h):
-            return None
-    return edges
-
-
-def _colorblind_pairing(g: ColoredMultigraph) -> Pairing:
-    """CB(g) as a one-color pairing, each edge once per unit of multiplicity."""
-    edges = [e for e, k in g.colorblind().items() if e[0] <= e[1] for _ in range(k)]
-    return [((0, 0), [u for u, _ in edges], [v for _, v in edges])]
+def _girth_above(edges: set[tuple[int, int]], n: int, h: int) -> bool:
+    """Whether the simple graph on n vertices with these edges has girth > h."""
+    if h < 3:
+        return True
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return not _girth_at_most(adj, h)
 
 
 def is_colored_graph(g: ColoredMultigraph, h: int) -> bool:
     """CB(g) is simple with girth strictly greater than h."""
-    return _filtered_edges(_colorblind_pairing(g), g.n, h) is not None
+    if h < 1:
+        raise ValueError("h must be >= 1")
+    cb = g.colorblind()
+    if any(u == v or k > 1 for (u, v), k in cb.items() if k):
+        return False
+    return _girth_above({e for e, k in cb.items() if k and e[0] < e[1]}, g.n, h)
 
 
 def filtered_pairings(
     half_edges: dict[Color, list[int]], n: int, h: int, rng: random.Random, draws: int
 ) -> Iterator[tuple[int, Pairing, set[tuple[int, int]]]]:
     """Make ``draws`` draws; yield (draw number, pairing, edges) for each one
-    whose color-blind multigraph is simple with girth > h."""
+    whose color-blind multigraph is simple with girth > h.  A draw stops at
+    its first loop or repeated pair; the girth search runs only on complete
+    simple draws."""
+    if h < 1:
+        raise ValueError("h must be >= 1")
     for attempt in range(1, draws + 1):
-        pairing = _draw(half_edges, rng)
-        edges = _filtered_edges(pairing, n, h)
-        if edges is not None:
+        edges: set[tuple[int, int]] = set()
+        pairing = _draw(half_edges, rng, edges)
+        if pairing is not None and _girth_above(edges, n, h):
             yield attempt, pairing, edges
 
 

@@ -29,10 +29,15 @@ against a slower reference:
   integer numerators over a common denominator; ``levy_prokhorov_oracle``
   also reads every radius of every rep, where the package scans radii
   upward from the atoms' sources and stops at the crossing.
+
+``exact_law`` runs a sampler under every sequence of choices a
+``BranchingRandom`` can make, so a sampler's law at tiny n is an exact sum of
+``Fraction`` weights, not a Monte Carlo estimate.
 """
+import random
 from fractions import Fraction
 
-from localgraphs.errors import InvalidSequence
+from localgraphs.errors import AttemptsExhausted, InvalidSequence
 from localgraphs.graphs import MarkedGraph, RootedMarkedGraph
 
 
@@ -200,6 +205,57 @@ def cm_pairings_oracle(D) -> list[tuple]:
                 [[(c, u, v) for u, v in zip(stubs[c], p)] for p in permutations(stubs.get(cb, []))]
             )
     return [tuple(sorted(x for part in choice for x in part)) for choice in product(*factors)]
+
+
+class BranchingRandom(random.Random):
+    """A generator whose integer draws replay a list of choices.
+
+    Each ``_randbelow(m)`` returns the next listed choice, or 0 past the end
+    of the list, and records m.  ``random()`` is one such draw below 2, read
+    as 0.25 or 0.75: exact for a test against 0.5, not for a float law.
+    ``Random.shuffle`` and ``choice`` draw through ``_randbelow``.
+    """
+
+    def __init__(self, choices: list[int]):
+        super().__init__(0)
+        self.choices = choices
+        self.bounds: list[int] = []
+
+    def _randbelow(self, m: int) -> int:
+        i = len(self.bounds)
+        self.bounds.append(m)
+        if i == len(self.choices):
+            self.choices.append(0)
+        return self.choices[i]
+
+    def random(self) -> float:
+        return (2 * self._randbelow(2) + 1) / 4
+
+
+def exact_law(sample) -> dict:
+    """{outcome: probability} of ``sample(rng)`` as exact Fractions, over
+    every sequence of choices of a ``BranchingRandom``; a run weighs the
+    product of 1/m over its draws.  Runs are walked depth first, like an
+    odometer: the last draw that can still grow grows, and the draws after
+    it are forgotten.  A run that raises ``AttemptsExhausted`` has the
+    outcome None.  ``sample`` must make finitely many draws."""
+    law: dict = {}
+    choices: list[int] = []
+    while True:
+        rng = BranchingRandom(choices)
+        try:
+            outcome = sample(rng)
+        except AttemptsExhausted:
+            outcome = None
+        weight = Fraction(1)
+        for m in rng.bounds:
+            weight /= m
+        law[outcome] = law.get(outcome, 0) + weight
+        while choices and choices[-1] == rng.bounds[len(choices) - 1] - 1:
+            choices.pop()
+        if not choices:
+            return law
+        choices[-1] += 1
 
 
 def colored_axioms_oracle(g) -> None:

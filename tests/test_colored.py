@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -8,8 +9,8 @@ from localgraphs.colored import (
     ColorSet,
     ColoredDegreeSequence,
     ColoredMultigraph,
+    _draw,
     _girth_at_most,
-    _shuffle,
     color_graph,
     colored_degree_sequence_of,
     estimate_alpha_h,
@@ -26,7 +27,7 @@ from localgraphs.canonical import canonicalize
 from localgraphs.graphs import MarkAlphabets, build_graph, rooted_component, truncate
 from localgraphs import verify
 
-from oracles import cm_pairings_oracle, colored_axioms_oracle, girth_oracle
+from oracles import cm_pairings_oracle, colored_axioms_oracle, exact_law, girth_oracle
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 AB1 = MarkAlphabets(("s",), ("a",))
@@ -373,12 +374,15 @@ def _oracle_passes(pairing, n, h):
 
 
 def _pairing_of(g):
-    """The oracle's pairing key of a colored multigraph without loops."""
+    """The oracle's pairing key of a colored multigraph.  A diagonal color
+    counts each edge in both directions, so a loop twice at its vertex."""
     out = []
     for c, entries in g.omega.items():
         for (u, v), k in entries.items():
             if c < ColorSet.conjugate(c) or (c[0] == c[1] and u < v):
                 out += [(c, u, v)] * k
+            elif c[0] == c[1] and u == v:
+                out += [(c, u, u)] * (k // 2)
     return tuple(sorted(out))
 
 
@@ -402,6 +406,53 @@ def test_filtered_cm_matches_exact_conditional_law(D, h):
         assert abs(counts[key] / trials - p) < 4 * se, (key, counts[key], p)
 
 
+# Exact laws: exact_law runs a sampler under every sequence of index draws,
+# each draw below m weighted 1/m, so these compare Fractions, not frequencies.
+# With max_attempts=1 a rejected draw is the outcome None.
+
+
+def _oracle_law(D, h=None):
+    """The law of one CM(D) draw from the labelled pairings; with h, each
+    pairing that the girth-h filter rejects counts as None."""
+    pairings = cm_pairings_oracle(D)
+    law = {}
+    for p in pairings:
+        key = p if h is None or _oracle_passes(p, D.n, h) else None
+        law[key] = law.get(key, 0) + Fraction(1, len(pairings))
+    return law
+
+
+@pytest.mark.parametrize("D", [LAW_D, LAW_D_DIAGONAL], ids=["pair", "diagonal"])
+def test_cm_law_is_exact(D):
+    law = exact_law(lambda rng: _pairing_of(sample_cm(D, rng)))
+    assert law == _oracle_law(D)
+    assert any(u == v for key in law for _, u, v in key)
+
+
+@pytest.mark.parametrize("D", [LAW_D, LAW_D_DIAGONAL], ids=["pair", "diagonal"])
+@pytest.mark.parametrize("h", [2, 3])
+def test_filtered_cm_law_is_exact(D, h):
+    law = exact_law(lambda rng: _pairing_of(sample_filtered_cm(D, h, rng, 1)[0]))
+    assert law == _oracle_law(D, h)
+    assert None in law and len(law) >= 3
+
+
+@pytest.mark.parametrize(
+    "D,h,alpha",
+    [
+        (LAW_D, 2, Fraction(1, 2)),
+        (LAW_D, 3, Fraction(1, 3)),
+        (LAW_D_DIAGONAL, 2, Fraction(2, 3)),
+        (LAW_D_DIAGONAL, 3, Fraction(8, 15)),
+    ],
+    ids=["pair-2", "pair-3", "diagonal-2", "diagonal-3"],
+)
+def test_one_alpha_trial_succeeds_with_probability_alpha_h(D, h, alpha):
+    law = exact_law(lambda rng: estimate_alpha_h(D, h, 1, rng).successes)
+    assert law == {1: alpha, 0: 1 - alpha}
+    assert alpha == 1 - _oracle_law(D, h)[None]
+
+
 def test_from_maps_shares_equal_rows():
     from localgraphs.verify import _alpha_profile
 
@@ -423,19 +474,30 @@ def test_from_maps_shares_equal_rows():
     assert read_cds(write_cds(D)) == D
 
 
-# lengths 2**k - 1, 2**k and 2**k + 1 start or end a run of one bit length
-SHUFFLE_LENGTHS = list(range(71)) + [1000, 4097]
+class _ViaRandbelow(random.Random):
+    """The Mersenne Twister asked for each index through _randbelow, as a
+    generator that draws integers its own way is."""
+
+    def _randbelow(self, m):
+        return super()._randbelow(m)
+
+
+#: one diagonal color of 2-regular stubs, so draws meet loops and repeated
+#: pairs, at lengths that start or end a run of one bit length; and
+#: criterion 9's profile, with a diagonal color and a conjugate pair
+STREAM_CASES = [{(0, 0): [v // 2 for v in range(m)]} for m in (2, 4, 6, 8, 30, 32, 34, 64, 66, 1000)]
+STREAM_CASES += [verify._alpha_profile(n).half_edges() for n in (2, 10, 200)]
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_shuffle_matches_random_shuffle_and_final_state(seed):
-    for n in SHUFFLE_LENGTHS:
-        expected, got = list(range(n)), list(range(n))
-        reference, rng = random.Random(seed), random.Random(seed)
-        reference.shuffle(expected)
-        _shuffle(got, rng)
-        assert got == expected, n
-        assert rng.getstate() == reference.getstate(), n
+def test_randbelow_path_matches_the_inlined_path(seed):
+    for half_edges in STREAM_CASES:
+        for check in (False, True):
+            inlined, via = random.Random(seed), _ViaRandbelow(seed)
+            for _ in range(3):
+                got = _draw(half_edges, inlined, set() if check else None)
+                assert got == _draw(half_edges, via, set() if check else None)
+                assert inlined.getstate() == via.getstate()
 
 
 class _LinearCongruential(random.Random):
@@ -456,14 +518,49 @@ class _ReversingShuffle(random.Random):
 
 
 @pytest.mark.parametrize("cls", [_LinearCongruential, _ReversingShuffle])
-def test_shuffle_falls_back_to_the_generator_s_own_shuffle(cls):
-    for n in (0, 1, 2, 31, 32, 33, 500):
-        expected, got = list(range(n)), list(range(n))
-        cls(9).shuffle(expected)
-        rng = cls(9)
-        _shuffle(got, rng)
-        assert got == expected, n
-    # the inlined path would read the Mersenne Twister stream instead
-    inlined = list(range(500))
-    random.Random(9).shuffle(inlined)
-    assert inlined != got
+def test_index_draws_follow_the_generator_s_integer_method(cls):
+    """A class that draws integers through random() is asked for each index
+    through its _randbelow, so it pairs otherwise than the Mersenne Twister
+    would; one that overrides only shuffle still draws them with getrandbits,
+    inlined, since the pairing calls no shuffle."""
+    half_edges = verify._alpha_profile(200).half_edges()
+    for seed in range(3):
+        twister = _draw(half_edges, random.Random(seed), None)
+        assert (_draw(half_edges, cls(seed), None) == twister) == (cls is _ReversingShuffle)
+
+
+def test_a_checked_draw_is_the_full_draw_cut_at_its_first_loop_or_repeated_pair():
+    half_edges = verify._alpha_profile(40).half_edges()
+    rejected = 0
+    for seed in range(200):
+        edges = set()
+        checked = _draw(half_edges, random.Random(seed), edges)
+        full = _draw(half_edges, random.Random(seed), None)
+        pairs = [(min(u, v), max(u, v)) for _, us, vs in full for u, v in zip(us, vs)]
+        simple = all(u < v for u, v in pairs) and len(set(pairs)) == len(pairs)
+        assert (checked is not None) == simple
+        if checked is None:
+            rejected += 1
+        else:
+            assert checked == full and edges == set(pairs)
+    assert 0 < rejected < 200
+
+
+class _CountingRandom(random.Random):
+    def __init__(self, seed):
+        self.calls = 0
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_draws_stop_at_their_first_loop_or_repeated_pair():
+    D = verify._alpha_profile(2000)
+    early, full = _CountingRandom(9), _CountingRandom(9)
+    assert estimate_alpha_h(D, 3, 200, early).trials == 200
+    half_edges = D.half_edges()
+    for _ in range(200):
+        _draw(half_edges, full, None)
+    assert early.calls < full.calls / 2

@@ -2,8 +2,8 @@
 
 Every pairing draw goes through ``colored._draw``, so these digests pin the
 random stream the configuration-model samplers consume, not only their
-determinism: a sampler that permutes with other random numbers, or with the
-same numbers in another order, changes the bytes.  Outputs hold whole graphs
+determinism: a draw that pairs half-edges with other index draws, in another
+order, or that stops at another pair, changes the bytes.  Outputs hold whole graphs
 or pairings, so each is pinned by the sha256 of its standard output.
 """
 import hashlib
@@ -41,30 +41,30 @@ def colored_sample_cds() -> str:
 CASES = {
     "sample-degrees": (
         ("sample", "--degrees", CUBIC, "--seed", "5", "--count", "2"), None,
-        "cae3f842b7384b27a8771b1a21474ccbc63aa0174b8b4b74b998e7599d533742",
+        "1e8dbfb923af952882355bd2f1ec1c2e3eea29711d8ac4991cd10c41d6348364",
     ),
     "sample-theta": (
         ("sample", "--degrees", MIXED, "--seed", "6") + MARKS, None,
-        "ede0b15bb394262122b6eb973a3f03336ac065e901fb8d167351bc82fa12e5da",
+        "abcacd4e0978a53c29d3b4bad9d0f3720cdaf5efd720f20fbce9207de92ffe3d",
     ),
     "sample-config": (
         ("sample", "--config", "{file}"), CONFIG,
-        "986f8dc093210c690ad3c2303e6394b5667435663bb5ff85188aaf88c02b200a",
+        "77b82dcafe8782e8bcb704853e88df529a1980839e4bf8a02f9b1166a9058efe",
     ),
     "cm-sample": (
         ("cm", "--cds", "{file}", "--seed", "7"), colored_sample_cds(),
-        "049828f3eb277b75314850961b4a2524f97eb301a28e2383feb1ea6f64ad27bd",
+        "18eb2b7faedf7f216fdd67fbd5251edd84663dcb6a100f9f0845b9d4264c7105",
     ),
     # criterion 9's profile at n = 200, at the girth it checks and above
     "cm-trials-girth3": (
         ("cm", "--cds", "{file}", "--seed", "8", "--trials", "200", "--girth", "3"),
         write_cds(_alpha_profile(200)),
-        "5e1ba24e68463c9c36c1ddaaea4d4b56a3c34d75782df7942caee7bce93dc143",
+        "d999080a4e04761da0c24cd3de626e891f0969a56e57ddb5d5f875bff282ef81",
     ),
     "cm-trials-girth5": (
         ("cm", "--cds", "{file}", "--seed", "8", "--trials", "200", "--girth", "5"),
         write_cds(_alpha_profile(200)),
-        "2f10b9fcc51010c53593517d3e9a9c3d2296c9773641ff00576d68e70194d234",
+        "03c190c33fb3e8da39fa050541cda64fe89ed63f94953e6ed1088ccfba68ded6",
     ),
 }
 
@@ -84,6 +84,6 @@ def test_criterion9_detail_is_pinned(criterion9):
     passed, detail = criterion9.passed, criterion9.detail
     assert passed
     assert detail == (
-        "n=200: 0.0599 [0.0554, 0.0647]; n=400: 0.0589 [0.0545, 0.0637]; "
-        "n=800: 0.0633 [0.0587, 0.0682]"
+        "n=200: 0.0609 [0.0564, 0.0658]; n=400: 0.0624 [0.0578, 0.0673]; "
+        "n=800: 0.0636 [0.0590, 0.0686]"
     )

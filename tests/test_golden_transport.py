@@ -73,21 +73,21 @@ def raised_leaves(tree_seed: int, n: int, first_only: bool, degree: int):
 SURGERY = {
     "k1": (
         raised_leaves(61, 60, False, 2), 1, 3,
-        "29fe7f8cac7b5ea6e82202413e6babb403f195401532411e15177b260151812b",
-        "modified_vertices=6\ndegree_exact=True\nattempts=14\ntransport_changed=4\n"
+        "c010e5a06252d61d453cb59b53c7e984ffc44fab467ce9ce8d8e9af9c844e68b",
+        "modified_vertices=6\ndegree_exact=True\nattempts=17\ntransport_changed=4\n"
         "transport_bound=250\npropagated_bound=16\n",
     ),
     "k2": (
         raised_leaves(60, 60, False, 2), 2, 7,
-        "562004ebce61b1888fa98ee5912df25765404e570a4e03232ea2ed4e016fe3f4",
-        "modified_vertices=12\ndegree_exact=True\nattempts=3\ntransport_changed=4\n"
+        "11bcdd3321631033c86c6dd048172ded5d0663df8cea7268062652b5bfeaf233",
+        "modified_vertices=10\ndegree_exact=True\nattempts=1\ntransport_changed=4\n"
         "transport_bound=1425\npropagated_bound=40\n",
     ),
     # criterion 8's instance: tree seed 88, one leaf raised to 3, depth 1
     "criterion8": (
         raised_leaves(88, SURGERY_N, True, 3), 1, 88,
-        "55b556dd5d8e6386b3ca57e8a18025e6de8ff02022d807c2b8ac5c913b2859a5",
-        "modified_vertices=4\ndegree_exact=True\nattempts=3\ntransport_changed=2\n"
+        "0d89be84fe1f4469fec257a32597ee3617816a9e6e128c9174e4b75760340890",
+        "modified_vertices=5\ndegree_exact=True\nattempts=13\ntransport_changed=2\n"
         "transport_bound=170\npropagated_bound=8\n",
     ),
 }

@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from localgraphs import samplers
 from localgraphs.canonical import canonicalize
 from localgraphs.cli import main
-from localgraphs.enumeration import enumerate_graphs
+from localgraphs.enumeration import enumerate_graphs, enumerate_marked
 from localgraphs.errors import AttemptsExhausted, CountMismatch, NonGraphical
 from localgraphs.graphs import DegreeSequence, MarkAlphabets, rooted_component
 from localgraphs.marks import CountVectors, ModelParams, chi2_leq, count_vectors_of
@@ -17,6 +19,8 @@ from localgraphs.samplers import (
     sample_uniform_graph,
     sample_uniform_marked,
 )
+
+from oracles import exact_law
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 AB1 = MarkAlphabets(("s",), ("a",))
@@ -136,6 +140,47 @@ def test_uniform_marked_orientation_frequencies():
             hits += 1
     se = (0.25 / trials) ** 0.5
     assert abs(hits / trials - 0.5) < 4 * se
+
+
+# Exact laws: exact_law runs a sampler under every sequence of index draws
+# (and of the orientation flips), so these compare Fractions.  Each sampler
+# makes one attempt, so a rejected pairing is the outcome None.
+
+
+@pytest.mark.parametrize("ell", [(1, 1, 1, 1), (2, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1, 1), (3, 2, 2, 2, 1)])
+def test_uniform_graph_law_is_exact(ell):
+    ell = DegreeSequence(ell)
+    law = exact_law(lambda rng: sample_uniform_graph(ell, rng, max_attempts=1).edges)
+    graphs = [g.edges for g in enumerate_graphs(ell)]
+    # each simple graph is prod(ell_i!) of the (2m - 1)!! stub pairings
+    p = Fraction(
+        math.prod(math.factorial(d) for d in ell.ell), math.prod(range(1, 2 * ell.edge_count, 2))
+    )
+    expected = dict.fromkeys(graphs, p)
+    if len(graphs) * p < 1:
+        expected[None] = 1 - len(graphs) * p
+    assert law == expected
+
+
+@pytest.mark.parametrize(
+    "ell,u,m",
+    [
+        ((1, 1, 1, 1), {"s": 2, "t": 2}, {("a", "a"): 1, ("a", "b"): 1}),
+        ((2, 1, 1), {"s": 1, "t": 2}, {("a", "b"): 1, ("b", "b"): 1}),
+    ],
+)
+def test_uniform_marked_law_is_exact(monkeypatch, ell, u, m):
+    monkeypatch.setattr(samplers, "DEFAULT_MAX_ATTEMPTS", 1)
+    ell, cv = DegreeSequence(ell), CountVectors(AB, u, m)
+
+    def key(g):
+        return g.tau, tuple(sorted(g.xi.items()))
+
+    law = exact_law(lambda rng: key(sample_uniform_marked(ell, cv, rng)))
+    rejected = law.pop(None, Fraction(0))
+    marked = [key(g) for g in enumerate_marked(ell, cv)]
+    assert len(set(marked)) == len(marked) > 1
+    assert law == dict.fromkeys(marked, (1 - rejected) / len(marked))
 
 
 def test_iid_marked_trivial_alphabet_reduces_to_uniform_graph():
