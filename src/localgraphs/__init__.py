@@ -1,6 +1,6 @@
 """Toolkit for marked random graphs with given degrees in the local topology."""
 
-from .canonical import CanonicalClass, canonicalize, is_isomorphic, local_distance
+from .canonical import CanonicalClass, canonicalize, local_distance
 from .graphs import (
     DegreeSequence,
     MarkAlphabets,
@@ -34,7 +34,6 @@ __all__ = [
     "canonicalize",
     "check_unimodular",
     "empirical_distribution",
-    "is_isomorphic",
     "levy_prokhorov",
     "local_distance",
     "read_graph",

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import cache
+from itertools import islice, product
 from typing import Callable, Iterable, Iterator
 
 from .errors import UndecodableCode
@@ -200,9 +201,16 @@ def _tree_orders(g: MarkedGraph) -> Iterator[list[int]]:
 NeighbourKeys = list[list[tuple[int, int]]]
 
 
+@cache
+def _pair_ranks(xi: tuple[str, ...]) -> dict[tuple[str, str], int]:
+    """The rank of each pair of edge marks among all of them, sorted."""
+    return {p: i for i, p in enumerate(sorted(product(xi, repeat=2)))}
+
+
 def neighbour_keys(g: MarkedGraph) -> NeighbourKeys:
     """For each vertex v, its neighbours u with the sort key of the mark pair
-    (xi(v, u), xi(u, v)): its rank among g's distinct pairs times 2n + 1.
+    (xi(v, u), xi(u, v)): its rank among the pairs of g's edge-mark alphabet
+    times 2n + 1.
 
     A colour is below 2n (see ``_ir_certificate``), so key + colour sorts as
     (xi(v, u), xi(u, v), colour) does, and refinement sorts ints instead of
@@ -210,9 +218,8 @@ def neighbour_keys(g: MarkedGraph) -> NeighbourKeys:
     """
 
     def build(g: MarkedGraph) -> NeighbourKeys:
-        pairs = {(v, u): (x, g.xi[(u, v)]) for (v, u), x in g.xi.items()}
-        rank = {p: i * (2 * g.n + 1) for i, p in enumerate(sorted(set(pairs.values())))}
-        return [[(u, rank[pairs[(v, u)]]) for u in a] for v, a in enumerate(g.adjacency)]
+        rank, step, xi = _pair_ranks(g.alphabets.xi), 2 * g.n + 1, g.xi
+        return [[(u, rank[xi[v, u], xi[u, v]] * step) for u in a] for v, a in enumerate(g.adjacency)]
 
     return _kept(g, "_neighbour_keys", build)
 
@@ -593,10 +600,6 @@ def decode_codes(codes: Iterable[bytes]) -> list[RootedMarkedGraph]:
         except (ValueError, KeyError, IndexError):
             raise UndecodableCode(i) from None
     return rooted
-
-
-def is_isomorphic(a: RootedMarkedGraph, b: RootedMarkedGraph) -> bool:
-    return canonicalize(a) == canonicalize(b)
 
 
 def local_distance(a: RootedMarkedGraph, b: RootedMarkedGraph) -> Fraction:

@@ -191,21 +191,33 @@ def sample_cm(D: ColoredDegreeSequence, rng: random.Random) -> ColoredMultigraph
     return _multigraph(D, _draw(D.half_edges(), rng, None))
 
 
-def _girth_at_most(adj: list[set[int]], h: int) -> bool:
-    """Whether the simple graph has a cycle of length <= h."""
+def _girth_at_most(adj: list, h: int) -> bool:
+    """Whether the simple graph (rows: lists or sets) has a cycle of length <= h.
+
+    Vertices of degree below 2 lie on no cycle and are dropped, repeatedly.
+    Each vertex left, in ascending order, roots a BFS to depth h // 2 over
+    the vertices not dropped, which stops at a witness: a non-tree edge that
+    closes a walk of length <= h.  From a vertex on a shortest cycle of
+    length <= h the BFS finds one, so a root that finds none is on no
+    shortest cycle; dropping it keeps them all, and the verdict is exact.
+    A 2-regular graph costs one BFS per cycle.
+    """
     if h < 3:
         return False
-    # triangles via neighbour intersections
-    for u in range(len(adj)):
-        for v in adj[u]:
-            if v > u and adj[u] & adj[v]:
-                return True
-    if h == 3:
-        return False
-    # BFS from every vertex; the first non-tree edge met from a root on a
-    # shortest cycle witnesses its length, so the minimum over roots is exact
+    deg = [len(row) for row in adj]  # neighbours not dropped; -1 once dropped
+    stack = [v for v, k in enumerate(deg) if k < 2]  # to drop
     limit = h // 2
     for root in range(len(adj)):
+        while stack:
+            v = stack.pop()
+            deg[v] = -1
+            for w in adj[v]:
+                if deg[w] >= 0:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        stack.append(w)
+        if deg[root] < 0:
+            continue
         dist = {root: 0}
         parent = {root: -1}
         frontier = [root]
@@ -215,7 +227,7 @@ def _girth_at_most(adj: list[set[int]], h: int) -> bool:
             for u in frontier:
                 for w in adj[u]:
                     if w not in dist:
-                        if d < limit:
+                        if d < limit and deg[w] >= 0:
                             dist[w] = d + 1
                             parent[w] = u
                             nxt.append(w)
@@ -223,6 +235,7 @@ def _girth_at_most(adj: list[set[int]], h: int) -> bool:
                         return True
             frontier = nxt
             d += 1
+        stack.append(root)
     return False
 
 
@@ -230,10 +243,10 @@ def _girth_above(edges: set[tuple[int, int]], n: int, h: int) -> bool:
     """Whether the simple graph on n vertices with these edges has girth > h."""
     if h < 3:
         return True
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u].append(v)
+        adj[v].append(u)
     return not _girth_at_most(adj, h)
 
 

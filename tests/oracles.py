@@ -30,6 +30,9 @@ against a slower reference:
   also reads every radius of every rep, where the package scans radii
   upward from the atoms' sources and stops at the crossing.
 
+``girth_bfs_oracle`` is the short-cycle filter as it was before it peeled
+vertices and dropped BFS roots: a BFS from every vertex.
+
 ``exact_law`` runs a sampler under every sequence of choices a
 ``BranchingRandom`` can make, so a sampler's law at tiny n is an exact sum of
 ``Fraction`` weights, not a Monte Carlo estimate.
@@ -123,6 +126,43 @@ def girth_oracle(adj: list[set[int]]) -> float:
             if v in dist:
                 best = min(best, dist[v] + 1)
     return best
+
+
+def girth_bfs_oracle(adj: list[set[int]], h: int) -> bool:
+    """Whether the simple graph has a cycle of length <= h, by the filter the
+    package used before it peeled: a triangle pass, then a BFS to depth
+    h // 2 from every vertex."""
+    if h < 3:
+        return False
+    # triangles via neighbour intersections
+    for u in range(len(adj)):
+        for v in adj[u]:
+            if v > u and adj[u] & adj[v]:
+                return True
+    if h == 3:
+        return False
+    # BFS from every vertex; the first non-tree edge met from a root on a
+    # shortest cycle witnesses its length, so the minimum over roots is exact
+    limit = h // 2
+    for root in range(len(adj)):
+        dist = {root: 0}
+        parent = {root: -1}
+        frontier = [root]
+        d = 0
+        while frontier and d <= limit:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in dist:
+                        if d < limit:
+                            dist[w] = d + 1
+                            parent[w] = u
+                            nxt.append(w)
+                    elif parent[u] != w and dist[u] + dist[w] + 1 <= h:
+                        return True
+            frontier = nxt
+            d += 1
+    return False
 
 
 def bfs_layers_oracle(g: MarkedGraph, root: int, radius: int) -> set[int]:

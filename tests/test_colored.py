@@ -10,10 +10,12 @@ from localgraphs.colored import (
     ColoredDegreeSequence,
     ColoredMultigraph,
     _draw,
+    _girth_above,
     _girth_at_most,
     color_graph,
     colored_degree_sequence_of,
     estimate_alpha_h,
+    filtered_pairings,
     is_colored_graph,
     mcb,
     read_cds,
@@ -25,9 +27,15 @@ from localgraphs.colored import (
 from localgraphs.errors import InconsistentColors, InvalidSequence
 from localgraphs.canonical import canonicalize
 from localgraphs.graphs import MarkAlphabets, build_graph, rooted_component, truncate
-from localgraphs import verify
+from localgraphs import colored, verify
 
-from oracles import cm_pairings_oracle, colored_axioms_oracle, exact_law, girth_oracle
+from oracles import (
+    cm_pairings_oracle,
+    colored_axioms_oracle,
+    exact_law,
+    girth_bfs_oracle,
+    girth_oracle,
+)
 
 AB = MarkAlphabets(("s", "t"), ("a", "b"))
 AB1 = MarkAlphabets(("s",), ("a",))
@@ -192,6 +200,111 @@ def test_girth_detector_matches_oracle():
         g_true = girth_oracle(adj)
         for h in range(3, 9):
             assert _girth_at_most(adj, h) == (g_true <= h), (adj, h, g_true)
+
+
+def _cycle(vs) -> list[tuple[int, int]]:
+    return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+
+def _path(vs) -> list[tuple[int, int]]:
+    return list(zip(vs, vs[1:]))
+
+
+def _girth_families():
+    """(name, n, edges) of graphs where peeling and root dropping do work:
+    cycles, cycles with pendant paths and trees, forests, isolated vertices,
+    chorded cycles, theta graphs and unions of cycles."""
+    rng = random.Random(28)
+    for k in range(3, 13):
+        # cycles of lengths k to 12, so the girth is k
+        edges, n = [], 0
+        for length in range(k, 13):
+            edges += _cycle(range(n, n + length))
+            n += length
+        yield f"cycles{k}-12", n, list(edges)
+        cycle_vertices = n
+        for _ in range(8):
+            # a pendant path, or a random tree, hung from a cycle vertex
+            size = rng.randint(1, 6)
+            grown = [rng.randrange(cycle_vertices)] + list(range(n, n + size))
+            if rng.random() < 0.5:
+                edges += _path(grown)
+            else:
+                edges += [(rng.choice(grown[:i]), grown[i]) for i in range(1, len(grown))]
+            n += size
+        yield f"cycles{k}-12+trees", n + 3, edges  # and three isolated vertices
+    for size in (1, 2, 7, 30):
+        n = 3 * size
+        edges = [(rng.randrange(i), i) for i in range(1, n) if i % size]
+        yield f"forest{size}", n, edges
+    yield "isolated", 5, []
+    for k in (4, 7, 10):
+        for j in range(2, k - 1):
+            yield f"C{k}+chord0-{j}", k, _cycle(range(k)) + [(0, j)]
+    for a, b, c in ((1, 2, 2), (2, 2, 2), (1, 3, 5), (3, 3, 4), (2, 5, 6), (4, 6, 6)):
+        # three paths of lengths a, b, c between vertices 0 and 1
+        edges, n = [], 2
+        for length in (a, b, c):
+            inner = list(range(n, n + length - 1))
+            edges += _path([0] + inner + [1])
+            n += length - 1
+        yield f"theta{a}-{b}-{c}", n, edges
+    for n in (20, 60, 200):
+        # a 2-regular graph like criterion 9's draws: a random vertex order
+        # cut into cycles of length >= 3
+        order = rng.sample(range(n), n)
+        edges, start = [], 0
+        while start < n:
+            length = rng.randint(3, 12)
+            if n - start - length < 3:
+                length = n - start
+            edges += _cycle(order[start:start + length])
+            start += length
+        yield f"union{n}", n, edges
+
+
+@pytest.mark.parametrize(
+    "name,n,edges", [pytest.param(*f, id=f[0]) for f in _girth_families()]
+)
+def test_peeling_girth_filter_matches_oracle(name, n, edges):
+    # relabelled at random, so the ascending root order meets each shape
+    # from different vertices
+    perm = random.Random(name).sample(range(n), n)
+    edges = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges}
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    g_true = girth_oracle(adj)
+    for h in range(3, 14):
+        assert _girth_at_most(adj, h) == (g_true <= h), h
+        assert _girth_above(edges, n, h) == (g_true > h), h
+
+
+@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("h", [3, 5])
+def test_peeling_girth_filter_matches_bfs_filter_on_alpha_draws(n, h, monkeypatch):
+    """Every complete simple draw of a seeded girth-filter run on criterion
+    9's profile gets the verdict of the BFS-from-every-vertex filter."""
+    seen = []
+    original = colored._girth_above
+
+    def recorded(edges, n, h):
+        seen.append(set(edges))
+        return original(edges, n, h)
+
+    monkeypatch.setattr(colored, "_girth_above", recorded)
+    half_edges = verify._alpha_profile(n).half_edges()
+    for _ in filtered_pairings(half_edges, n, h, random.Random(n + h), 200):
+        pass
+    monkeypatch.undo()
+    assert seen
+    for edges in seen:
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        assert _girth_above(edges, n, h) == (not girth_bfs_oracle(adj, h))
 
 
 def test_color_graph_round_trips_through_mcb():
